@@ -25,8 +25,8 @@ from .data import (
     save_points_csv,
 )
 from .errors import ValidationError
-from .semiring import stabilize
-from .ultrametric import is_ultrametric
+from .semiring import power_chain, stabilize
+from .ultrametric import subdominant
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -62,13 +62,6 @@ def _load_matrix(args) -> np.ndarray:
     return pairwise_matrix(points, metric=args.metric)
 
 
-def _distinct_count(a: np.ndarray) -> int:
-    n = a.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    vals = a[iu, ju]
-    return int(np.unique(vals[np.isfinite(vals)]).size)
-
-
 def _emit(text: str, output: str | None) -> None:
     if output:
         with open(output, "w") as fh:
@@ -77,15 +70,14 @@ def _emit(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _auto_radius(star: np.ndarray) -> float | None:
-    hist = distance_histogram(star, mode="distinct")
+def _auto_radius(hist) -> float | None:
     radii, shortfall = radii_from_valleys(hist, 1)
     return radii[0] if radii else None
 
 
 def cmd_analyze(args) -> int:
     a = _load_matrix(args)
-    result = stabilize(a, strategy=args.strategy)
+    result = stabilize(a)
     hist = distance_histogram(result.star, mode="distinct")
     report = AnalysisReport(
         n=a.shape[0],
@@ -93,10 +85,10 @@ def cmd_analyze(args) -> int:
         clusterability=result.ultrametricity,
         ultrametricity=result.ultrametricity,
         is_ultrametric=result.m == 1,
-        distinct_values_before=_distinct_count(a),
-        distinct_values_after=_distinct_count(result.star),
+        distinct_values_before=distance_histogram(a).values.size,
+        distinct_values_after=hist.values.size,
         estimated_k=estimate_num_clusters(hist.num_peaks),
-        suggested_radius=_auto_radius(result.star),
+        suggested_radius=_auto_radius(hist),
     )
     if args.format == "json":
         text = json.dumps(asdict(report), indent=2) + "\n"
@@ -109,8 +101,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_ultrametric(args) -> int:
-    a = _load_matrix(args)
-    star = stabilize(a, strategy=args.strategy).star
+    star = subdominant(_load_matrix(args))
     save_matrix_csv(star, args.output) if args.output else _emit(
         "\n".join(",".join(f"{v:.17g}" for v in row) for row in star) + "\n", None
     )
@@ -118,11 +109,9 @@ def cmd_ultrametric(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    a = _load_matrix(args)
-    if not is_ultrametric(a):
-        a = stabilize(a, strategy=args.strategy).star
+    a = subdominant(_load_matrix(args))
     if args.radius == "auto":
-        radius = _auto_radius(a)
+        radius = _auto_radius(distance_histogram(a))
         if radius is None:
             radius = 0.0  # single distance level: everything merges below it
     else:
@@ -152,21 +141,11 @@ def cmd_histogram(args) -> int:
     if args.stage == "raw":
         rows = _histogram_rows(a, args.mode, args.bins, None)
     elif args.stage == "stabilized":
-        star = stabilize(a, strategy=args.strategy).star
-        rows = _histogram_rows(star, args.mode, args.bins, None)
+        rows = _histogram_rows(subdominant(a), args.mode, args.bins, None)
     else:  # trace: one histogram per distinct power A, A^2, ..., A* (m stages)
-        from .semiring import minmax_product
-
         rows = []
-        p = a
-        stage = 1
-        while True:
+        for stage, p in enumerate(power_chain(a), 1):
             rows.extend(_histogram_rows(p, args.mode, args.bins, str(stage)))
-            q = minmax_product(p, a)
-            if np.array_equal(q, p):
-                break
-            p = q
-            stage += 1
     _emit("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 
@@ -205,7 +184,6 @@ def _add_input_flags(p):
     p.add_argument("--input", required=True, help="input CSV path")
     p.add_argument("--kind", choices=["matrix", "points"], default="matrix")
     p.add_argument("--metric", choices=["manhattan", "euclidean"], default="manhattan")
-    p.add_argument("--strategy", choices=["linear", "doubling"], default="doubling")
     p.add_argument("--output", default=None, help="output path (default: stdout)")
 
 

@@ -125,24 +125,34 @@ def _parse_number(token: str, row: int, col: int) -> float:
         ) from None
 
 
-def load_matrix_csv(path) -> np.ndarray:
-    """Load and validate a dissimilarity matrix from CSV."""
+def _parse_rows(path, lines, what: str, unit: str) -> np.ndarray:
+    """Parse numbered CSV lines into a 2-D float array of equal-width rows.
+
+    ``lines`` yields ``(line number, text)`` pairs and blank lines are skipped;
+    ``what`` and ``unit`` name the file kind and a row's entries in errors.
+    """
     rows = []
-    with open(path) as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            rows.append([_parse_number(tok, r, c) for c, tok in enumerate(line.split(","))])
+    for r, line in lines:
+        line = line.strip()
+        if line:
+            entries = [_parse_number(tok, r, c) for c, tok in enumerate(line.split(","))]
+            # keep a float64 array per row: Python floats in a list take 4x the memory
+            rows.append(np.array(entries))
     if not rows:
-        raise ValidationError(f"{path}: empty matrix file")
+        raise ValidationError(f"{path}: empty {what} file")
     width = len(rows[0])
     for r, row in enumerate(rows):
         if len(row) != width:
             raise ValidationError(
-                f"{path}: row {r} has {len(row)} entries, expected {width}"
+                f"{path}: row {r} has {len(row)} {unit}, expected {width}"
             )
-    a = np.asarray(rows, dtype=float)
+    return np.asarray(rows, dtype=float)
+
+
+def load_matrix_csv(path) -> np.ndarray:
+    """Load and validate a dissimilarity matrix from CSV."""
+    with open(path) as fh:
+        a = _parse_rows(path, enumerate(fh), "matrix", "entries")
     if np.any(np.asarray(a) < 0):
         i, j = np.argwhere(a < 0)[0]
         raise ValidationError(f"{path}: negative entry at row {i}, column {j}")
@@ -160,22 +170,9 @@ def save_matrix_csv(matrix, path) -> None:
 
 def load_points_csv(path) -> np.ndarray:
     """Load an (n, dim) point set from CSV; '#'-prefixed lines are comments."""
-    rows = []
     with open(path) as fh:
-        for r, line in enumerate(fh):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            rows.append([_parse_number(tok, r, c) for c, tok in enumerate(line.split(","))])
-    if not rows:
-        raise ValidationError(f"{path}: empty points file")
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {r} has {len(row)} coordinates, expected {width}"
-            )
-    return np.asarray(rows, dtype=float)
+        lines = ((r, line) for r, line in enumerate(fh) if not line.lstrip().startswith("#"))
+        return _parse_rows(path, lines, "points", "coordinates")
 
 
 def save_points_csv(points, path) -> None:

@@ -23,6 +23,7 @@ __all__ = [
     "matrix_leq",
     "minmax_product",
     "power",
+    "power_chain",
     "stabilize",
     "validate_dissimilarity",
 ]
@@ -141,18 +142,30 @@ class StabilizationResult:
     power_trace: list[int] | None = None
 
 
-def _stabilize_linear(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
-    m = 1
+def power_chain(a):
+    """Yield the distinct min-max powers A, A^2, ..., A^m = A* of a dissimilarity.
+
+    Each power is the previous one times A; the chain ends with the first
+    power that one more multiplication leaves unchanged.
+    """
+    a = validate_dissimilarity(a)
     p = a
-    trace = []
     while True:
+        yield p
         q = minmax_product(p, a)
-        changed = int(np.count_nonzero(q != p))
-        if changed == 0:
-            return p, m, trace
-        trace.append(changed)
+        if np.array_equal(q, p):
+            return
         p = q
-        m += 1
+
+
+def _stabilize_linear(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
+    chain = power_chain(a)
+    star = next(chain)
+    trace = []
+    for p in chain:
+        trace.append(int(np.count_nonzero(p != star)))
+        star = p
+    return star, len(trace) + 1, trace
 
 
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:

@@ -1,17 +1,17 @@
 """Ultrametric recognition, the subdominant ultrametric, and clusterability.
 
-The subdominant ultrametric of a dissimilarity is computed two independent
-ways: through min-max power stabilization (:func:`subdominant`) and through
-a Kruskal-style spanning-forest sweep (:func:`minimax_oracle`).  The second
-shares no code with the semiring kernel and exists as a cross-check; both
-agree exactly on every valid input.
+The subdominant ultrametric is the all-pairs minimax path distance (the
+single-linkage cophenetic distance), so :func:`subdominant` computes it with
+the O(n^2) spanning-forest sweep of :func:`minimax_oracle`.  Only the
+stabilization power m needs the semiring's power chain, whose fixpoint the
+tests check against the sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import NotUltrametricError, ValidationError
 from .semiring import minmax_product, stabilize, validate_dissimilarity
 
 __all__ = [
@@ -31,18 +31,18 @@ def is_ultrametric(a) -> bool:
 
 
 def subdominant(a) -> np.ndarray:
-    """Largest ultrametric dominated by ``a`` (the stabilization fixpoint)."""
-    return stabilize(a).star
+    """Largest ultrametric dominated by ``a`` (the stabilization fixpoint A*)."""
+    return minimax_oracle(validate_dissimilarity(a))
 
 
 def minimax_oracle(weights) -> np.ndarray:
     """All-pairs minimax path weights of a symmetric weighted graph.
 
     For each pair the minimum over connecting paths of the largest edge
-    weight; ``inf`` between disconnected components.  Computed by merging
-    components in order of increasing edge weight: when an edge first joins
-    two components, its weight is the minimax value for every pair across
-    them.
+    weight; ``inf`` between disconnected components; non-finite weights are
+    not edges.  A dense Prim sweep finds a minimum spanning forest in O(n^2),
+    whose edges are merged by increasing weight: the edge that joins two
+    components gives its weight to every pair across them.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -50,28 +50,37 @@ def minimax_oracle(weights) -> np.ndarray:
     if not np.array_equal(w, w.T):
         raise ValidationError("weight matrix must be symmetric")
     n = w.shape[0]
+
+    # best[v]: lightest edge from the forest grown so far to v, via[v] its end
+    best = np.full(n, np.inf)
+    via = np.full(n, -1)
+    outside = np.ones(n, dtype=bool)
+    edges = []
+    for _ in range(n):
+        rest = np.flatnonzero(outside)
+        # with no finite edge into the rest, argmin picks its first vertex: a new tree
+        v = int(rest[np.argmin(best[rest])])
+        if via[v] >= 0:
+            edges.append((best[v], int(via[v]), v))
+        outside[v] = False
+        row = w[v]
+        closer = outside & np.isfinite(row) & (row < best)
+        best[closer] = row[closer]
+        via[closer] = v
+
     out = np.full((n, n), np.inf)
     np.fill_diagonal(out, 0.0)
-
-    iu, ju = np.triu_indices(n, 1)
-    finite = np.isfinite(w[iu, ju])
-    order = np.argsort(w[iu, ju][finite], kind="stable")
-    edges = list(zip(iu[finite][order], ju[finite][order], w[iu, ju][finite][order]))
-
-    comp = list(range(n))
+    comp = np.arange(n)
     members: list[list[int]] = [[i] for i in range(n)]
-    for u, v, wt in edges:
+    for wt, u, v in sorted(edges):
         cu, cv = comp[u], comp[v]
-        if cu == cv:
-            continue
         if len(members[cu]) < len(members[cv]):
             cu, cv = cv, cu
         small = members[cv]
         big = members[cu]
         out[np.ix_(big, small)] = wt
         out[np.ix_(small, big)] = wt
-        for i in small:
-            comp[i] = cu
+        comp[small] = cu
         big.extend(small)
         members[cv] = []
     return out
@@ -91,7 +100,8 @@ def sup_ultrametrics(mats) -> np.ndarray:
         if m.shape != shape:
             raise ValidationError(f"mixed matrix orders: {shape} vs {m.shape}")
     sup = np.maximum.reduce(mats)
-    assert is_ultrametric(sup), "supremum of ultrametrics failed the ultrametric check"
+    if not is_ultrametric(sup):
+        raise NotUltrametricError("the supremum is not ultrametric, so some member is not")
     return sup
 
 

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from ultraclust import example1_matrix, save_matrix_csv
+from ultraclust import example1_matrix, is_ultrametric, save_matrix_csv, subdominant
+from ultraclust import semiring, ultrametric
 from ultraclust.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
+from conftest import random_dissim
 
 
 @pytest.fixture
@@ -132,6 +134,45 @@ class TestHistogram:
         assert rows == ["1,1", "2,2"]
 
 
+class TestProductCounts:
+    """Only ``cluster`` needs a min-max product: the one ultrametric check."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        kernel = semiring.minmax_product
+
+        def counted(a, b):
+            calls.append(a.shape)
+            return kernel(a, b)
+
+        for module in (semiring, ultrametric):
+            monkeypatch.setattr(module, "minmax_product", counted)
+        return calls
+
+    @pytest.fixture
+    def raw_and_star(self, tmp_path, rng):
+        a = random_dissim(rng, 20)
+        assert not is_ultrametric(a)
+        paths = tmp_path / "raw.csv", tmp_path / "star.csv"
+        save_matrix_csv(a, paths[0])
+        save_matrix_csv(subdominant(a), paths[1])
+        return [str(p) for p in paths]
+
+    @pytest.mark.parametrize("argv", [["ultrametric"], ["histogram", "--stage", "stabilized"]])
+    def test_fixpoint_commands_make_no_product(self, argv, raw_and_star, products):
+        products.clear()
+        for path in raw_and_star:
+            assert main([*argv, "--input", path]) == EXIT_OK
+        assert products == []
+
+    def test_cluster_makes_one_product(self, raw_and_star, products):
+        for path in raw_and_star:
+            products.clear()
+            assert main(["cluster", "--input", path]) == EXIT_OK
+            assert len(products) == 1
+
+
 class TestGenerate:
     def test_paper_lattice(self, tmp_path):
         out = tmp_path / "pts.csv"
@@ -156,6 +197,11 @@ class TestGenerate:
 
 
 class TestUsageErrors:
+    def test_strategy_flag_removed(self, ex1_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["analyze", "--input", ex1_csv, "--strategy", "linear"])
+        assert exc.value.code == EXIT_USAGE
+
     def test_missing_required_flag(self):
         with pytest.raises(SystemExit) as exc:
             main(["analyze"])

@@ -153,6 +153,8 @@ class TestCsvRoundTrip:
             ("0,-1\n-1,0\n", "negative"),
             ("0,1\n1,0,3\n", "row 1"),
             ("0,x\nx,0\n", "row 0"),
+            ("# dim=2\n0,1\n1,0\n", "row 0, column 0"),
+            ("", "empty matrix file"),
         ],
     )
     def test_validation_errors(self, tmp_path, text, fragment):
@@ -160,3 +162,17 @@ class TestCsvRoundTrip:
         path.write_text(text)
         with pytest.raises(ValidationError, match=fragment):
             load_matrix_csv(path)
+
+    @pytest.mark.parametrize(
+        "text,fragment",
+        [
+            ("# dim=2\n0,0\n\n1,2,3\n", "row 1 has 3 coordinates, expected 2"),
+            ("# dim=2\n0,0\n1,y\n", "row 2, column 1"),
+            ("# dim=2\n\n", "empty points file"),
+        ],
+    )
+    def test_points_validation_errors(self, tmp_path, text, fragment):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError, match=fragment):
+            load_points_csv(path)

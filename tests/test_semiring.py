@@ -11,6 +11,7 @@ from ultraclust import (
     stabilize,
     validate_dissimilarity,
 )
+from ultraclust.semiring import power_chain
 from conftest import random_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
@@ -187,6 +188,14 @@ class TestStabilize:
             cur = power(a, k)
             assert matrix_leq(cur, prev)
             prev = cur
+
+    def test_power_chain_yields_each_distinct_power(self, rng):
+        for _ in range(15):
+            a = random_dissim(rng, int(rng.integers(1, 16)), integer=bool(rng.integers(2)))
+            chain = list(power_chain(a))
+            assert len(chain) == stabilize(a).m
+            for k, p in enumerate(chain, 1):
+                assert np.array_equal(p, power(a, k))
 
     def test_power_trace_counts(self):
         res = stabilize(A3, "linear")

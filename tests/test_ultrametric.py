@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from ultraclust import (
+    NotUltrametricError,
     ValidationError,
     clusterability,
     example1_matrix,
@@ -87,11 +88,24 @@ class TestMinimaxOracle:
             minimax_oracle(np.array([[0, 1], [2, 0]], float))
 
     def test_agrees_with_subdominant(self, rng):
+        # the semiring fixpoint is the independent reference
         for _ in range(40):
             n = int(rng.integers(2, 32))
             a = random_dissim(rng, n, integer=bool(rng.integers(2)),
                               with_inf=bool(rng.integers(2)))
-            assert np.array_equal(subdominant(a), minimax_oracle(a))
+            star = stabilize(a).star
+            assert np.array_equal(subdominant(a), star)
+            assert np.array_equal(minimax_oracle(a), star)
+
+    def test_agrees_with_single_linkage_cophenet(self, rng):
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        distance = pytest.importorskip("scipy.spatial.distance")
+        for _ in range(60):
+            n = int(rng.integers(2, 40))
+            a = random_dissim(rng, n, integer=bool(rng.integers(2)))
+            linkage = hierarchy.linkage(distance.squareform(a), method="single")
+            cophenetic = distance.squareform(hierarchy.cophenet(linkage))
+            assert np.array_equal(minimax_oracle(a), cophenetic)
 
 
 class TestSupUltrametrics:
@@ -109,6 +123,11 @@ class TestSupUltrametrics:
             n = int(rng.integers(2, 10))
             fam = [subdominant(random_dissim(rng, n)) for _ in range(int(rng.integers(2, 5)))]
             assert is_ultrametric(sup_ultrametrics(fam))
+
+    def test_non_ultrametric_member_rejected(self):
+        # raised by an explicit check, so it holds under python -O too
+        with pytest.raises(NotUltrametricError):
+            sup_ultrametrics([A3])
 
     def test_empty_family_rejected(self):
         with pytest.raises(ValidationError):
