@@ -43,14 +43,19 @@ class Clustering:
         return out
 
 
+def _check_radius(r: float) -> None:
+    # written so that NaN, which fails every comparison, is rejected too
+    if not r >= 0:
+        raise ValidationError(f"radius must be a nonnegative number, got {r}")
+
+
 def closed_sphere(a, center: int, r: float) -> set[int]:
     """Indices within distance r of the center (the center always included)."""
     a = validate_dissimilarity(a)
     n = a.shape[0]
     if not 0 <= center < n:
         raise ValidationError(f"center {center} out of range for order {n}")
-    if r < 0:
-        raise ValidationError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     return set(np.nonzero(a[center] <= r)[0].tolist())
 
 
@@ -67,8 +72,7 @@ def spheric_clustering(u, r: float) -> Clustering:
             "spheric clustering requires an ultrametric matrix; "
             "apply subdominant() first"
         )
-    if r < 0:
-        raise ValidationError(f"radius must be nonnegative, got {r}")
+    _check_radius(r)
     n = u.shape[0]
     assignment = np.full(n, -1, dtype=int)
     next_id = 0
@@ -128,18 +132,9 @@ class DistanceHistogram:
 
 
 def _local_maxima(counts: np.ndarray) -> np.ndarray:
-    k = counts.size
-    if k == 0:
-        return np.array([], dtype=int)
-    if k == 1:
-        return np.array([0], dtype=int)
-    peaks = []
-    for i in range(k):
-        left = counts[i] > counts[i - 1] if i > 0 else True
-        right = counts[i] > counts[i + 1] if i < k - 1 else True
-        if left and right:
-            peaks.append(i)
-    return np.asarray(peaks, dtype=int)
+    # a bin beyond either end counts as empty, so an empty bin is never a peak
+    padded = np.concatenate(([0], counts, [0]))
+    return np.flatnonzero((counts > padded[:-2]) & (counts > padded[2:]))
 
 
 def _valleys_between(counts: np.ndarray, peaks: np.ndarray) -> np.ndarray:

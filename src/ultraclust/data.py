@@ -83,6 +83,9 @@ def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
+    if not np.all(np.isfinite(pts)):
+        i, j = np.argwhere(~np.isfinite(pts))[0]
+        raise ValidationError(f"row {i}, column {j}: coordinate must be finite, got {pts[i, j]}")
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValidationError("duplicate points violate dissimilarity definiteness")
     diff = pts[:, None, :] - pts[None, :, :]

@@ -1,7 +1,8 @@
 """Min-max matrix algebra over nonnegative reals extended with infinity.
 
-Matrices are plain float64 numpy arrays; ``numpy.inf`` plays the role of
-the distinguished infinity element.  The product
+Matrices are float64 numpy arrays, or unsigned level codes inside
+:func:`stabilize`; ``numpy.inf`` is the distinguished infinity element.
+The product
 
     C[i, j] = min over k of max(A[i, k], B[k, j])
 
@@ -28,9 +29,9 @@ __all__ = [
     "validate_dissimilarity",
 ]
 
-# rows per block in the broadcasted product; keeps the n^2-per-row temporary
-# near 32 MB regardless of matrix order
-_BLOCK_ELEMS = 1 << 22
+# bytes of the (rows, k, p) broadcast temporary of one block of the product:
+# about 1 MiB stays in cache whatever the matrix order or dtype
+_BLOCK_BYTES = 1 << 20
 
 
 def validate_dissimilarity(a) -> np.ndarray:
@@ -68,18 +69,21 @@ def minmax_product(a, b) -> np.ndarray:
     """Min-max product: C[i,j] = min_k max(a[i,k], b[k,j]).
 
     Every entry of the result occurs in ``a`` or ``b``, so downstream
-    comparisons stay exact even for floating inputs.
+    comparisons stay exact even for floating inputs.  Operands that share
+    one unsigned-integer dtype (level codes) are multiplied in that dtype;
+    any other operands are converted to float64.
     """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = np.asarray(a), np.asarray(b)
+    if a.dtype != b.dtype or a.dtype.kind != "u":
+        a, b = a.astype(float, copy=False), b.astype(float, copy=False)
     if a.ndim != 2 or b.ndim != 2:
         raise ValidationError("operands must be 2-dimensional")
     if a.shape[1] != b.shape[0]:
         raise ValidationError(
             f"dimension mismatch: {a.shape} cannot multiply {b.shape}"
         )
-    out = np.empty((a.shape[0], b.shape[1]), dtype=float)
-    block = max(1, _BLOCK_ELEMS // max(b.size, 1))
+    out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
+    block = max(1, _BLOCK_BYTES // max(b.nbytes, 1))
     for s in range(0, a.shape[0], block):
         # (rows, n, p) broadcast, reduced over the shared axis
         out[s : s + block] = np.maximum(a[s : s + block, :, None], b[None, :, :]).min(
@@ -132,7 +136,8 @@ class StabilizationResult:
 
     ``star`` is the least power that no further multiplication changes (the
     subdominant ultrametric matrix), ``m`` the stabilization power, and
-    ``ultrametricity`` the ratio n/m.  ``power_trace`` records how many
+    ``ultrametricity`` the ratio n/m.  ``star`` holds the input's float64
+    values under either strategy.  ``power_trace`` records how many
     entries changed at each multiplication step (linear strategy only).
     """
 
@@ -169,49 +174,44 @@ def _stabilize_linear(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:
-    n = a.shape[0]
-    # squarings: exps[t] = 2^t, sqs[t] = A^(2^t); m <= n-1 bounds the loop
-    max_steps = int(np.ceil(np.log2(n))) + 1 if n > 1 else 1
-    exps = [1]
-    sqs = [a]
-    for _ in range(max_steps):
+    from .ultrametric import minimax_oracle  # ultrametric imports this module
+
+    levels = np.unique(minimax_oracle(a))
+    codes = np.searchsorted(levels, a).astype(np.min_scalar_type(levels.size))
+    # sqs[t] = A^(2^t); square until a squaring changes nothing, so that
+    # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T]
+    sqs = [codes]
+    while True:
         q = minmax_product(sqs[-1], sqs[-1])
         if np.array_equal(q, sqs[-1]):
             break
-        exps.append(exps[-1] * 2)
         sqs.append(q)
     star = sqs[-1]
     if len(sqs) == 1:
-        return star, 1
-    # the fixpoint appeared between the last two squarings; since the power
-    # sequence is constant from m on, binary-search the least matching power
-    lo, hi = exps[-2], exps[-1]
-
-    def power_from_cache(k: int) -> np.ndarray:
-        result = None
-        t = 0
-        while k:
-            if k & 1:
-                result = sqs[t] if result is None else minmax_product(result, sqs[t])
-            k >>= 1
-            t += 1
-        return result
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if np.array_equal(power_from_cache(mid), star):
-            hi = mid
-        else:
-            lo = mid
-    return star, hi
+        return levels[star], 1
+    # binary lifting: grow k from 2^(T-1) to m - 1, the last power short of
+    # A*, adding each lower power of two that keeps A^k != A*
+    k, p = 1 << (len(sqs) - 2), sqs[-2]
+    for t in range(len(sqs) - 3, -1, -1):
+        q = minmax_product(p, sqs[t])
+        if not np.array_equal(q, star):
+            k, p = k + (1 << t), q
+    return levels[star], k + 1
 
 
 def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     """Find the least m with A^m = A^(m+1) and the fixpoint matrix A^m.
 
-    ``linear`` multiplies by A until nothing changes; ``doubling`` squares
-    to bracket the fixpoint and binary-searches the exact power.  Both
-    return identical results.
+    ``linear`` multiplies floats by A until nothing changes.  ``doubling``
+    makes 2*ceil(log2 m) products (one when m = 1): it squares until a
+    squaring changes nothing, then finds m by binary lifting.  It multiplies
+    level codes: entry v becomes the number of distinct values of A* (from
+    the spanning-forest sweep) below v, as uint8 for fewer than 256 values
+    and uint16 up to 65535.  That map is non-decreasing, so it commutes with
+    min and max; and A^k >= A* entrywise, so A^k == A* exactly when their
+    codes are equal.  The code chain thus has the same m, and its fixpoint
+    decodes to A*.  The stop rule compares powers with each other, never
+    with the sweep.  Both strategies return identical results.
     """
     a = validate_dissimilarity(a)
     if strategy == "linear":

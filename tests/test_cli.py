@@ -107,6 +107,22 @@ class TestCluster:
     def test_bad_radius(self, ex1_csv):
         assert main(["cluster", "--input", ex1_csv, "--radius", "wide"]) == EXIT_VALIDATION
 
+    def test_nan_radius(self, ex1_csv, capsys):
+        assert main(["cluster", "--input", ex1_csv, "--radius", "nan"]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out == "" and "nan" in err
+
+    def test_infinite_radius_one_cluster(self, ex1_csv, capsys):
+        assert main(["cluster", "--input", ex1_csv, "--radius", "inf"]) == EXIT_OK
+        ids = {int(r.split(",")[1]) for r in capsys.readouterr().out.strip().splitlines()}
+        assert ids == {0}
+
+    def test_nan_point_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "pts.csv"
+        path.write_text("0,0\n1,nan\n5,5\n")
+        assert main(["cluster", "--input", str(path), "--kind", "points"]) == EXIT_VALIDATION
+        assert "row 1, column 1" in capsys.readouterr().err
+
 
 class TestHistogram:
     def test_example1_distinct_raw(self, ex1_csv, capsys):

@@ -40,6 +40,13 @@ class TestClosedSphere:
         with pytest.raises(ValidationError):
             closed_sphere(EX1, 8, 1)
 
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValidationError, match="nan"):
+            closed_sphere(EX1, 0, float("nan"))
+
+    def test_infinite_radius_is_everything(self):
+        assert closed_sphere(EX1, 0, float("inf")) == set(range(8))
+
 
 class TestSphericClustering:
     def test_example1_radius6(self):
@@ -53,6 +60,13 @@ class TestSphericClustering:
     def test_radius16_single_cluster(self):
         c = spheric_clustering(EX1, 16)
         assert c.num_clusters == 1
+
+    def test_nan_radius_rejected(self):
+        with pytest.raises(ValidationError, match="nan"):
+            spheric_clustering(EX1, float("nan"))
+
+    def test_infinite_radius_single_cluster(self):
+        assert spheric_clustering(EX1, float("inf")).num_clusters == 1
 
     def test_rejects_non_ultrametric(self):
         a = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], float)
@@ -146,6 +160,12 @@ class TestDistanceHistogram:
         h = distance_histogram(a, mode="binned", bins=3)
         assert h.peaks.tolist() == [0, 2]
         assert h.valleys.tolist() == [1]
+
+    @pytest.mark.parametrize("a", [np.zeros((1, 1)), np.array([[0.0, np.inf], [np.inf, 0.0]])])
+    def test_binned_without_finite_pairs_has_no_peaks(self, a):
+        h = distance_histogram(a, mode="binned")
+        assert h.counts.sum() == 0
+        assert h.peaks.size == 0 and h.valleys.size == 0
 
     def test_bins_rejected_in_distinct_mode(self):
         with pytest.raises(ValidationError):

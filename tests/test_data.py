@@ -80,6 +80,17 @@ class TestPairwiseMatrix:
         with pytest.raises(ValidationError):
             pairwise_matrix(np.zeros((2, 2)), "manhattan")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coordinates_rejected(self, bad):
+        pts = np.array([[0.0, 0.0], [1.0, 2.0], [3.0, 4.0]])
+        pts[1, 1] = bad
+        with pytest.raises(ValidationError, match=r"row 1, column 1"):
+            pairwise_matrix(pts, "manhattan")
+
+    def test_repeated_nan_points_rejected_by_coordinate(self):
+        with pytest.raises(ValidationError, match=r"row 0, column 0: .*finite"):
+            pairwise_matrix(np.full((2, 2), np.nan), "euclidean")
+
 
 class TestExample1:
     def test_table_entries(self):

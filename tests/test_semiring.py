@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from ultraclust import (
     stabilize,
     validate_dissimilarity,
 )
+from ultraclust import semiring
 from ultraclust.semiring import power_chain
 from conftest import random_dissim
 
@@ -55,6 +58,23 @@ class TestProduct:
         a = rng.uniform(0, 5, (3, 4))
         b = rng.uniform(0, 5, (4, 2))
         assert np.array_equal(minmax_product(a, b), brute_product(a, b))
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+    def test_unsigned_codes_keep_their_dtype(self, rng, dtype):
+        # shapes large enough that both dtypes split the product into several blocks
+        a = rng.integers(0, 256, (200, 150)).astype(dtype)
+        b = rng.integers(0, 256, (150, 120)).astype(dtype)
+        c = minmax_product(a, b)
+        assert c.dtype == dtype
+        assert np.array_equal(c, minmax_product(a.astype(float), b.astype(float)))
+        assert np.array_equal(c[:3, :4], brute_product(a[:3], b[:, :4]))
+
+    def test_other_operands_become_float(self):
+        u8 = np.array([[0, 3], [3, 0]], np.uint8)
+        for a, b in ((u8, u8.astype(np.uint16)), (u8.astype(np.int64), u8.astype(np.int64)),
+                     (u8, u8.astype(float)), (u8.tolist(), u8.tolist())):
+            c = minmax_product(a, b)
+            assert c.dtype == np.float64 and np.array_equal(c, [[0, 3], [3, 0]])
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -173,6 +193,25 @@ class TestStabilize:
             dbl = stabilize(a, "doubling")
             assert lin.m == dbl.m
             assert np.array_equal(lin.star, dbl.star)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 10, 17, 18, 33])
+    def test_doubling_makes_two_products_per_bit_of_m(self, n, monkeypatch):
+        # unit steps along a path under heavier chords: A^k joins exactly the
+        # pairs at most k steps apart, so m = n - 1 (1 for a single point)
+        a = np.full((n, n), 2.0)
+        a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1.0
+        np.fill_diagonal(a, 0.0)
+        dtypes = []
+
+        def counted(x, y, _orig=semiring.minmax_product):
+            dtypes.append((x.dtype, y.dtype))
+            return _orig(x, y)
+
+        monkeypatch.setattr(semiring, "minmax_product", counted)
+        res = stabilize(a)
+        assert res.m == max(1, n - 1)
+        assert len(dtypes) == (2 * math.ceil(math.log2(res.m)) if res.m > 1 else 1)
+        assert set(dtypes) == {(np.dtype(np.uint8),) * 2}  # levels 0, 1, 2
 
     def test_m_bound(self, rng):
         for _ in range(25):
