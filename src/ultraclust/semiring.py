@@ -1,7 +1,8 @@
 """Min-max matrix algebra over nonnegative reals extended with infinity.
 
 Matrices are float64 numpy arrays, or unsigned level codes inside
-:func:`stabilize`; ``numpy.inf`` is the distinguished infinity element.
+:func:`stabilize` and ``is_ultrametric``; ``numpy.inf`` is the
+distinguished infinity element.
 The product
 
     C[i, j] = min over k of max(A[i, k], B[k, j])
@@ -38,7 +39,8 @@ def validate_dissimilarity(a) -> np.ndarray:
     """Check that ``a`` is a square dissimilarity matrix and return it as float64.
 
     Requirements: zero diagonal, exact symmetry, strictly positive
-    off-diagonal entries (``inf`` allowed).
+    off-diagonal entries (``inf`` allowed).  A -0.0 diagonal entry is
+    returned as +0.0, in a copy, so every strategy yields the same bytes.
     """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -62,6 +64,9 @@ def validate_dissimilarity(a) -> np.ndarray:
         raise ValidationError(
             f"off-diagonal entry at ({i}, {j}) must be positive, got {a[i, j]}"
         )
+    if np.any(np.signbit(diag)):
+        a = a.copy()
+        np.fill_diagonal(a, 0.0)
     return a
 
 
@@ -173,29 +178,68 @@ def _stabilize_linear(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     return star, len(trace) + 1, trace
 
 
+def _level_codes(a: np.ndarray, levels: np.ndarray) -> np.ndarray:
+    """Entry v of ``a`` as the number of sorted ``levels`` below v.
+
+    The codes are the smallest unsigned dtype that holds ``levels.size``
+    (uint8 below 256 levels).  The map is non-decreasing, so it commutes with
+    min and max: the min-max product of codes is the code of the product.
+    Rows are coded in blocks, so the int64 index temporary stays small.
+    """
+    codes = np.empty(a.shape, dtype=np.min_scalar_type(levels.size))
+    block = max(1, _BLOCK_BYTES // (8 * a.shape[1]))
+    for s in range(0, a.shape[0], block):
+        codes[s : s + block] = np.searchsorted(levels, a[s : s + block])
+    return codes
+
+
+def _live_product(p: np.ndarray, b: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """p·b of symmetric powers whose rows outside ``live`` keep p's values.
+
+    By symmetry the other rows are also columns that keep p's values, so
+    one rectangular product of the live rows by the live columns, |live|^2·n
+    element-ops, gives the whole result.
+    """
+    if live.size == p.shape[0]:  # nothing settled yet: skip the gathers
+        return minmax_product(p, b)
+    out = p.copy()
+    out[np.ix_(live, live)] = minmax_product(p[live], b[:, live])
+    return out
+
+
+def _differing_rows(x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
+    """The rows of ``live`` where x and y differ; all other rows agree."""
+    return live[np.any(x[live] != y[live], axis=1)]
+
+
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:
     from .ultrametric import minimax_oracle  # ultrametric imports this module
 
     levels = np.unique(minimax_oracle(a))
-    codes = np.searchsorted(levels, a).astype(np.min_scalar_type(levels.size))
+    codes = _level_codes(a, levels)
     # sqs[t] = A^(2^t); square until a squaring changes nothing, so that
-    # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T]
-    sqs = [codes]
+    # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  live: the
+    # rows the last squaring changed; every other row already equals A*'s
+    sqs, live = [codes], np.arange(a.shape[0])
     while True:
-        q = minmax_product(sqs[-1], sqs[-1])
-        if np.array_equal(q, sqs[-1]):
+        q = _live_product(sqs[-1], sqs[-1], live)
+        changed = _differing_rows(q, sqs[-1], live)
+        if changed.size == 0:
             break
         sqs.append(q)
+        live = changed
     star = sqs[-1]
     if len(sqs) == 1:
         return levels[star], 1
     # binary lifting: grow k from 2^(T-1) to m - 1, the last power short of
-    # A*, adding each lower power of two that keeps A^k != A*
+    # A*, adding each lower power of two that keeps A^k != A*; live: the
+    # rows where p = A^k still differs from A* (those of the last squaring)
     k, p = 1 << (len(sqs) - 2), sqs[-2]
     for t in range(len(sqs) - 3, -1, -1):
-        q = minmax_product(p, sqs[t])
-        if not np.array_equal(q, star):
-            k, p = k + (1 << t), q
+        q = _live_product(p, sqs[t], live)
+        differ = _differing_rows(q, star, live)
+        if differ.size:
+            k, p, live = k + (1 << t), q, differ
     return levels[star], k + 1
 
 
@@ -212,6 +256,20 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     codes are equal.  The code chain thus has the same m, and its fixpoint
     decodes to A*.  The stop rule compares powers with each other, never
     with the sweep.  Both strategies return identical results.
+
+    Each ``doubling`` product multiplies only the rows that can still change.
+    A row is settled by either of two facts about the chain's own powers:
+
+    - squaring: if row i of A^(2k) equals row i of A^k, it equals row i of
+      A^(jk) for every j (row i of A^(3k) is row i of A^(2k)·A^k, which is
+      row i of A^k·A^k; induct), so it is already row i of A*;
+    - lifting: if row i of A^k equals row i of A*, so does row i of
+      A^k·A^(2^t), since A* <= A^(k+2^t) <= A^k entrywise.
+
+    Every power of a symmetric matrix is symmetric, so a settled row is also
+    a settled column: a product over R live rows is the R x R block
+    ``minmax_product(P[live], Q[:, live])`` of R^2·n element-ops instead of
+    n^3, and settled rows are copied through.
     """
     a = validate_dissimilarity(a)
     if strategy == "linear":

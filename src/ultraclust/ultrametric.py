@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotUltrametricError, ValidationError
-from .semiring import minmax_product, stabilize, validate_dissimilarity
+from .semiring import _level_codes, minmax_product, stabilize, validate_dissimilarity
 
 __all__ = [
     "clusterability",
@@ -25,9 +25,15 @@ __all__ = [
 
 
 def is_ultrametric(a) -> bool:
-    """True iff the strong triangle inequality holds, i.e. A·A = A."""
+    """True iff the strong triangle inequality holds, i.e. A·A = A.
+
+    The one product multiplies the order-preserving codes of A's distinct
+    values (uint8 below 256 values) instead of floats; the codes commute
+    with min and max, so the test holds for the codes exactly when for A.
+    """
     a = validate_dissimilarity(a)
-    return np.array_equal(minmax_product(a, a), a)
+    codes = _level_codes(a, np.unique(a))
+    return np.array_equal(minmax_product(codes, codes), codes)
 
 
 def subdominant(a) -> np.ndarray:

@@ -19,6 +19,18 @@ def random_dissim(rng, n, integer=False, with_inf=False):
     return a
 
 
+def path_dissim(n):
+    """Unit steps along a path under heavier chords (2.0).
+
+    A^k joins exactly the pairs at most k steps apart, so m = n - 1 (1 for
+    a single point).
+    """
+    a = np.full((n, n), 2.0)
+    a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1.0
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260826)

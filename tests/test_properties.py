@@ -1,4 +1,5 @@
-"""Property tests: the level-code doubling search agrees with the float chain."""
+"""Property tests: the level-code doubling search agrees with the float chain,
+and the facts by which it settles rows hold on the float powers."""
 
 import math
 from unittest import mock
@@ -9,7 +10,8 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from ultraclust import semiring, stabilize  # noqa: E402
+from ultraclust import power, semiring, stabilize  # noqa: E402
+from conftest import path_dissim  # noqa: E402
 
 INF = math.inf
 
@@ -52,6 +54,22 @@ def tree_dissim(n, seed, isolated):
     return a
 
 
+def hub_dissim(n):
+    """Spokes of weights 1, ..., n-1 from point 0 under heavier chords: m = 2."""
+    a = np.full((n, n), 100.0)
+    a[0, 1:] = a[1:, 0] = np.arange(1.0, n)
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
+def two_components(n):
+    """Two paths of n points each, joined only by inf."""
+    a = np.full((2 * n, 2 * n), INF)
+    a[:n, :n] = path_dissim(n)
+    a[n:, n:] = 3.0 * path_dissim(n)
+    return a
+
+
 def assert_strategies_agree(a):
     lin, dbl = stabilize(a, "linear"), stabilize(a, "doubling")
     assert dbl.m == lin.m
@@ -63,8 +81,24 @@ def assert_strategies_agree(a):
 @example(np.zeros((1, 1)))  # one level
 @example(symmetric(5, [7.0] * 10))  # two levels, 0 and 7
 @example(symmetric(4, [INF] * 6))  # two levels, 0 and inf
+@example(path_dissim(9))  # the middle rows settle last
+@example(hub_dissim(7))  # every row settles after one squaring
+@example(two_components(5))  # rows settle per component
 def test_doubling_matches_linear(a):
     assert_strategies_agree(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_dissims(), st.integers(1, 6), st.integers(1, 6))
+def test_rows_settle_as_stabilize_assumes(a, k, j):
+    star = stabilize(a, "linear").star
+    pk = power(a, k)
+    # squaring: a row that A^(2k) keeps from A^k is already a row of A*
+    kept = np.all(power(a, 2 * k) == pk, axis=1)
+    assert np.array_equal(pk[kept], star[kept])
+    # lifting: a row of A^k equal to A*'s stays so in A^(k+j)
+    done = np.all(pk == star, axis=1)
+    assert np.array_equal(power(a, k + j)[done], star[done])
 
 
 @settings(max_examples=6, deadline=None)

@@ -11,11 +11,12 @@ from ultraclust import (
     minmax_product,
     power,
     stabilize,
+    subdominant,
     validate_dissimilarity,
 )
 from ultraclust import semiring
 from ultraclust.semiring import power_chain
-from conftest import random_dissim
+from conftest import path_dissim, random_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
 A3_SQ = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]], dtype=float)
@@ -196,11 +197,7 @@ class TestStabilize:
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 9, 10, 17, 18, 33])
     def test_doubling_makes_two_products_per_bit_of_m(self, n, monkeypatch):
-        # unit steps along a path under heavier chords: A^k joins exactly the
-        # pairs at most k steps apart, so m = n - 1 (1 for a single point)
-        a = np.full((n, n), 2.0)
-        a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1.0
-        np.fill_diagonal(a, 0.0)
+        a = path_dissim(n)
         dtypes = []
 
         def counted(x, y, _orig=semiring.minmax_product):
@@ -212,6 +209,25 @@ class TestStabilize:
         assert res.m == max(1, n - 1)
         assert len(dtypes) == (2 * math.ceil(math.log2(res.m)) if res.m > 1 else 1)
         assert set(dtypes) == {(np.dtype(np.uint8),) * 2}  # levels 0, 1, 2
+
+    def test_doubling_multiplies_only_live_rows(self, monkeypatch):
+        # along a path the middle rows settle last: later squarings and the
+        # lifting steps multiply rectangular blocks of fewer than n rows
+        n = 33
+        shapes = []
+
+        def recorded(x, y, _orig=semiring.minmax_product):
+            shapes.append((x.shape, y.shape))
+            return _orig(x, y)
+
+        monkeypatch.setattr(semiring, "minmax_product", recorded)
+        res = stabilize(path_dissim(n))
+        calls = 2 * math.ceil(math.log2(res.m))
+        assert res.m == n - 1 and len(shapes) == calls
+        assert shapes[0] == ((n, n), (n, n))
+        assert any(x[0] < n for x, _ in shapes)
+        assert all(x[1] == y[0] == n and x[0] == y[1] for x, y in shapes)
+        assert sum(x[0] * x[1] * y[1] for x, y in shapes) < calls * n**3
 
     def test_m_bound(self, rng):
         for _ in range(25):
@@ -259,3 +275,12 @@ class TestStabilize:
 def test_validate_returns_float_array():
     out = validate_dissimilarity([[0, 1], [1, 0]])
     assert out.dtype == np.float64
+
+
+def test_validate_returns_positive_zero_diagonal():
+    a = np.array([[-0.0, 1.0, 3.0], [1.0, -0.0, 2.0], [3.0, 2.0, -0.0]])
+    before = a.tobytes()
+    out = validate_dissimilarity(a)
+    assert not np.any(np.signbit(out)) and a.tobytes() == before
+    stars = [stabilize(a, "linear").star, stabilize(a).star, subdominant(a)]
+    assert stars[0].tobytes() == stars[1].tobytes() == stars[2].tobytes()

@@ -14,10 +14,16 @@ from ultraclust import (
     sup_ultrametrics,
     ultrametricity,
 )
+from ultraclust import ultrametric
 from conftest import random_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
 A3_STAR = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]], dtype=float)
+
+
+def triples_ok(a):
+    """Brute force: a[i, j] <= max(a[i, k], a[k, j]) for every i, j and k."""
+    return all(bool(np.all(a <= np.maximum(a[:, [k]], a[[k], :]))) for k in range(len(a)))
 
 
 class TestIsUltrametric:
@@ -33,16 +39,34 @@ class TestIsUltrametric:
             assert is_ultrametric(random_dissim(rng, 2))
 
     def test_matches_triple_check(self, rng):
-        def triples_ok(a):
-            n = a.shape[0]
-            return all(
-                a[i, j] <= max(a[i, k], a[k, j])
-                for i in range(n) for j in range(n) for k in range(n)
-            )
-
         for _ in range(20):
             a = random_dissim(rng, int(rng.integers(2, 7)), integer=True)
             assert is_ultrametric(a) == triples_ok(a)
+        for _ in range(20):
+            a = random_dissim(rng, int(rng.integers(2, 12)), with_inf=True)
+            for b in (a, subdominant(a)):
+                assert is_ultrametric(b) == triples_ok(b)
+
+    @pytest.mark.parametrize("n", [255, 256])
+    def test_one_product_on_codes(self, n, monkeypatch):
+        # u[i, j] = max(i, j) is an ultrametric with the n values 0..n-1;
+        # 255 values take codes in uint8, 256 need uint16
+        u = np.maximum.outer(np.arange(n), np.arange(n)).astype(float)
+        np.fill_diagonal(u, 0.0)
+        broken = u.copy()
+        broken[0, 1] = broken[1, 0] = 1000.0  # above max(u[0, 2], u[2, 1]) = 2
+        dtypes = []
+
+        def recorded(x, y, _orig=ultrametric.minmax_product):
+            dtypes.append((x.dtype, y.dtype))
+            return _orig(x, y)
+
+        monkeypatch.setattr(ultrametric, "minmax_product", recorded)
+        for a, expected in ((u, True), (broken, False)):
+            assert is_ultrametric(a) is expected
+            assert triples_ok(a) is expected
+        code = np.dtype(np.uint8 if n == 255 else np.uint16)
+        assert dtypes == [(code, code)] * 2
 
 
 class TestSubdominant:
