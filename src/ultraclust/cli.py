@@ -102,9 +102,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_ultrametric(args) -> int:
     star = subdominant(_load_matrix(args))
-    save_matrix_csv(star, args.output) if args.output else _emit(
-        "\n".join(",".join(f"{v:.17g}" for v in row) for row in star) + "\n", None
-    )
+    save_matrix_csv(star, args.output or sys.stdout)
     return EXIT_OK
 
 

@@ -46,9 +46,10 @@ def minimax_oracle(weights) -> np.ndarray:
 
     For each pair the minimum over connecting paths of the largest edge
     weight; ``inf`` between disconnected components; non-finite weights are
-    not edges.  A dense Prim sweep finds a minimum spanning forest in O(n^2),
-    whose edges are merged by increasing weight: the edge that joins two
-    components gives its weight to every pair across them.
+    not edges.  A dense Prim sweep grows a minimum spanning forest in O(n^2)
+    and fills the result as it goes: a vertex v that joins through the edge
+    (via[v], v) of weight best[v] gets max(best[v], A*[via[v], u]) to every
+    vertex u already in the forest, and ``inf`` if it starts a new tree.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -61,34 +62,25 @@ def minimax_oracle(weights) -> np.ndarray:
     best = np.full(n, np.inf)
     via = np.full(n, -1)
     outside = np.ones(n, dtype=bool)
-    edges = []
-    for _ in range(n):
+    order = np.empty(n, dtype=np.intp)  # vertices in the order they join
+    out = np.full((n, n), np.inf)
+    # -inf until the end, so that v's entry at via[v] is best[v] even if negative
+    np.fill_diagonal(out, -np.inf)
+    for k in range(n):
         rest = np.flatnonzero(outside)
         # with no finite edge into the rest, argmin picks its first vertex: a new tree
         v = int(rest[np.argmin(best[rest])])
         if via[v] >= 0:
-            edges.append((best[v], int(via[v]), v))
+            # every forest path from v to an earlier vertex starts with (v, via[v])
+            done = order[:k]
+            out[v, done] = out[done, v] = np.maximum(best[v], out[via[v], done])
+        order[k] = v
         outside[v] = False
         row = w[v]
         closer = outside & np.isfinite(row) & (row < best)
         best[closer] = row[closer]
         via[closer] = v
-
-    out = np.full((n, n), np.inf)
     np.fill_diagonal(out, 0.0)
-    comp = np.arange(n)
-    members: list[list[int]] = [[i] for i in range(n)]
-    for wt, u, v in sorted(edges):
-        cu, cv = comp[u], comp[v]
-        if len(members[cu]) < len(members[cv]):
-            cu, cv = cv, cu
-        small = members[cv]
-        big = members[cu]
-        out[np.ix_(big, small)] = wt
-        out[np.ix_(small, big)] = wt
-        comp[small] = cu
-        big.extend(small)
-        members[cv] = []
     return out
 
 

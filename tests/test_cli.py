@@ -81,6 +81,17 @@ class TestUltrametric:
         assert main(["ultrametric", "--input", str(path), "--output", str(out)]) == EXIT_OK
         assert "inf" in out.read_text()
 
+    def test_stdout_matches_output_file(self, tmp_path, capsys, rng):
+        a = random_dissim(rng, 12, with_inf=True)
+        a[0, 1:] = a[1:, 0] = np.inf  # an isolated point keeps inf in A*
+        path = tmp_path / "m.csv"
+        save_matrix_csv(a, path)
+        out = tmp_path / "star.csv"
+        assert main(["ultrametric", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert main(["ultrametric", "--input", str(path)]) == EXIT_OK
+        stdout = capsys.readouterr().out
+        assert "inf" in stdout and stdout.encode() == out.read_bytes()
+
 
 class TestCluster:
     def test_example1_radius6(self, ex1_csv, capsys):

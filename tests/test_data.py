@@ -141,6 +141,10 @@ class TestCsvRoundTrip:
         path.write_text("0,inf\ninf,0\n")
         a = load_matrix_csv(path)
         assert np.isinf(a[0, 1])
+        path.write_text("0, INF ,2\n INF ,0,Inf\n2,\tInf,0\n")
+        a = load_matrix_csv(path)
+        assert np.array_equal(np.isinf(a), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
+        assert a[0, 2] == 2.0
 
     def test_three_point_fixture(self, tmp_path):
         path = tmp_path / "three.csv"
@@ -164,6 +168,7 @@ class TestCsvRoundTrip:
             ("0,-1\n-1,0\n", "negative"),
             ("0,1\n1,0,3\n", "row 1"),
             ("0,x\nx,0\n", "row 0"),
+            ("0,1\n1, x \n", "row 1, column 1: cannot parse 'x' as a number"),
             ("# dim=2\n0,1\n1,0\n", "row 0, column 0"),
             ("", "empty matrix file"),
         ],

@@ -1,5 +1,6 @@
-"""Property tests: the level-code doubling search agrees with the float chain,
-and the facts by which it settles rows hold on the float powers."""
+"""Property tests: the level-code doubling search and the spanning-forest sweep
+agree with the float chain, and the facts by which doubling settles rows hold
+on the float powers."""
 
 import math
 from unittest import mock
@@ -10,7 +11,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from ultraclust import power, semiring, stabilize  # noqa: E402
+from ultraclust import minimax_oracle, power, semiring, stabilize  # noqa: E402
 from conftest import path_dissim  # noqa: E402
 
 INF = math.inf
@@ -74,6 +75,7 @@ def assert_strategies_agree(a):
     lin, dbl = stabilize(a, "linear"), stabilize(a, "doubling")
     assert dbl.m == lin.m
     assert dbl.star.dtype == np.float64 and dbl.star.tobytes() == lin.star.tobytes()
+    assert minimax_oracle(a).tobytes() == lin.star.tobytes()
 
 
 @settings(max_examples=200, deadline=None)

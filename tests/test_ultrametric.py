@@ -107,6 +107,11 @@ class TestMinimaxOracle:
         assert np.isinf(out[0, 2]) and np.isinf(out[1, 2])
         assert out[0, 1] == 2
 
+    def test_negative_weights(self):
+        # a graph, not a dissimilarity: the edge 0-1 is its own minimax path
+        w = np.array([[0, -1, 5], [-1, 0, 2], [5, 2, 0]], float)
+        assert np.array_equal(minimax_oracle(w), [[0, -1, 2], [-1, 0, 2], [2, 2, 0]])
+
     def test_asymmetric_rejected(self):
         with pytest.raises(ValidationError):
             minimax_oracle(np.array([[0, 1], [2, 0]], float))
