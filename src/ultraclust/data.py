@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
-from .semiring import validate_dissimilarity
+from .semiring import _BLOCK_BYTES, validate_dissimilarity
 
 __all__ = [
     "LatticeConfig",
@@ -88,13 +88,18 @@ def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
         raise ValidationError(f"row {i}, column {j}: coordinate must be finite, got {pts[i, j]}")
     if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
         raise ValidationError("duplicate points violate dissimilarity definiteness")
-    diff = pts[:, None, :] - pts[None, :, :]
-    if metric == "manhattan":
-        d = np.abs(diff).sum(axis=-1)
-    elif metric == "euclidean":
-        d = np.sqrt((diff * diff).sum(axis=-1))
-    else:
+    if metric not in ("manhattan", "euclidean"):
         raise ValidationError(f"unknown metric {metric!r}")
+    n = pts.shape[0]
+    d = np.empty((n, n))
+    # rows of about 1 MiB of (rows, n, dim) difference at a time
+    block = max(1, _BLOCK_BYTES // max(pts.nbytes, 1))
+    for s in range(0, n, block):
+        diff = pts[s : s + block, None, :] - pts[None, :, :]
+        if metric == "manhattan":
+            d[s : s + block] = np.abs(diff).sum(axis=-1)
+        else:
+            d[s : s + block] = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -116,21 +121,29 @@ def example1_matrix() -> np.ndarray:
     )
 
 
-def _parse_rows(path, lines, what: str, unit: str) -> np.ndarray:
-    """Parse numbered CSV lines into a 2-D float array of equal-width rows.
+def _parse_rows(path, fh, what: str, unit: str, comments: bool = False) -> np.ndarray:
+    """Parse the CSV lines of an open text file into a 2-D float array of equal-width rows.
 
-    ``lines`` yields ``(line number, text)`` pairs and blank lines are skipped;
+    Blank lines are skipped, and so are ``#`` lines when ``comments`` is set;
     ``what`` and ``unit`` name the file kind and a row's entries in errors.
+    A first pass counts the rows, so that the second parses each row straight
+    into one preallocated array.
     """
-    rows = []
-    for r, line in lines:
+
+    def skipped(line):
+        return not line.strip() or (comments and line.lstrip().startswith("#"))
+
+    count = sum(1 for line in fh if not skipped(line))
+    if not count:
+        raise ValidationError(f"{path}: empty {what} file")
+    fh.seek(0)
+    out, mismatch = None, None
+    rows = ((r, line) for r, line in enumerate(fh) if not skipped(line))
+    for i, (r, line) in enumerate(rows):
         tokens = line.strip().split(",")
-        if tokens == [""]:
-            continue
         try:
-            # numpy applies float() to each token (' 1 ', 'inf', 'nan' parse); a
-            # float64 array per row takes a quarter of a list of Python floats
-            rows.append(np.array(tokens, dtype=float))
+            # numpy applies float() to each token (' 1 ', 'inf', 'nan' parse)
+            row = np.array(tokens, dtype=float)
         except ValueError:
             for c, token in enumerate(tokens):
                 try:
@@ -140,21 +153,22 @@ def _parse_rows(path, lines, what: str, unit: str) -> np.ndarray:
                         f"row {r}, column {c}: cannot parse {token.strip()!r} as a number"
                     ) from None
             raise
-    if not rows:
-        raise ValidationError(f"{path}: empty {what} file")
-    width = len(rows[0])
-    for r, row in enumerate(rows):
-        if len(row) != width:
-            raise ValidationError(
-                f"{path}: row {r} has {len(row)} {unit}, expected {width}"
-            )
-    return np.asarray(rows, dtype=float)
+        if out is None:
+            out = np.empty((count, row.size))
+        if row.size == out.shape[1]:
+            out[i] = row
+        elif mismatch is None:
+            # a parse error in a later row takes precedence
+            mismatch = f"{path}: row {i} has {row.size} {unit}, expected {out.shape[1]}"
+    if mismatch:
+        raise ValidationError(mismatch)
+    return out
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """Load and validate a dissimilarity matrix from CSV."""
     with open(path) as fh:
-        a = _parse_rows(path, enumerate(fh), "matrix", "entries")
+        a = _parse_rows(path, fh, "matrix", "entries")
     if np.any(np.asarray(a) < 0):
         i, j = np.argwhere(a < 0)[0]
         raise ValidationError(f"{path}: negative entry at row {i}, column {j}")
@@ -173,8 +187,7 @@ def save_matrix_csv(matrix, path) -> None:
 def load_points_csv(path) -> np.ndarray:
     """Load an (n, dim) point set from CSV; '#'-prefixed lines are comments."""
     with open(path) as fh:
-        lines = ((r, line) for r, line in enumerate(fh) if not line.lstrip().startswith("#"))
-        return _parse_rows(path, lines, "points", "coordinates")
+        return _parse_rows(path, fh, "points", "coordinates", comments=True)
 
 
 def save_points_csv(points, path) -> None:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,15 @@ def path_dissim(n):
     a[np.arange(n - 1), np.arange(1, n)] = a[np.arange(1, n), np.arange(n - 1)] = 1.0
     np.fill_diagonal(a, 0.0)
     return a
+
+
+def peak_bytes(f, *args):
+    """The result of f(*args) and the tracemalloc peak of the call."""
+    tracemalloc.start()
+    try:
+        return f(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture

@@ -18,7 +18,7 @@ from ultraclust import (
     save_points_csv,
     validate_dissimilarity,
 )
-from conftest import random_dissim
+from conftest import peak_bytes, random_dissim
 
 
 class TestLattice:
@@ -75,6 +75,12 @@ class TestPairwiseMatrix:
             for j in range(n):
                 for k in range(n):
                     assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+    @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+    def test_memory_stays_near_the_result(self, rng, metric):
+        # the (n, n, dim) difference tensor alone would take 34 MiB
+        d, peak = peak_bytes(pairwise_matrix, rng.uniform(0, 1, (1500, 2)), metric)
+        assert peak < d.nbytes + 4 * 2**20
 
     def test_duplicates_rejected(self):
         with pytest.raises(ValidationError):
@@ -146,6 +152,12 @@ class TestCsvRoundTrip:
         assert np.array_equal(np.isinf(a), [[0, 1, 0], [1, 0, 1], [0, 1, 0]])
         assert a[0, 2] == 2.0
 
+    def test_load_peaks_near_the_matrix(self, tmp_path):
+        path = tmp_path / "star.csv"
+        save_matrix_csv(subdominant(pairwise_matrix(lattice_generate(LatticeConfig(4, 4, 6, 6)))), path)
+        a, peak = peak_bytes(load_matrix_csv, path)
+        assert a.shape == (576, 576) and peak < a.nbytes + 2**20
+
     def test_three_point_fixture(self, tmp_path):
         path = tmp_path / "three.csv"
         path.write_text("0,1,3\n1,0,2\n3,2,0\n")
@@ -167,6 +179,7 @@ class TestCsvRoundTrip:
             ("1,2\n2,0\n", "diagonal"),
             ("0,-1\n-1,0\n", "negative"),
             ("0,1\n1,0,3\n", "row 1"),
+            ("0,1\n1,0,3\n1,x\n", "row 2, column 1: cannot parse 'x'"),
             ("0,x\nx,0\n", "row 0"),
             ("0,1\n1, x \n", "row 1, column 1: cannot parse 'x' as a number"),
             ("# dim=2\n0,1\n1,0\n", "row 0, column 0"),
@@ -183,6 +196,7 @@ class TestCsvRoundTrip:
         "text,fragment",
         [
             ("# dim=2\n0,0\n\n1,2,3\n", "row 1 has 3 coordinates, expected 2"),
+            ("# dim=2\n0,0\n1,2,3\n# x\n1,y\n", "row 4, column 1"),
             ("# dim=2\n0,0\n1,y\n", "row 2, column 1"),
             ("# dim=2\n\n", "empty points file"),
         ],

@@ -1,6 +1,7 @@
 """Property tests: the level-code doubling search and the spanning-forest sweep
-agree with the float chain, and the facts by which doubling settles rows hold
-on the float powers."""
+agree with the float chain, the facts by which doubling settles rows hold
+on the float powers, and few-level codes multiply as the broadcast kernel
+multiplies their float copies."""
 
 import math
 from unittest import mock
@@ -10,8 +11,18 @@ import pytest
 
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
+from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ultraclust import minimax_oracle, power, semiring, stabilize  # noqa: E402
+from ultraclust import (  # noqa: E402
+    LatticeConfig,
+    lattice_generate,
+    minimax_oracle,
+    minmax_product,
+    pairwise_matrix,
+    power,
+    semiring,
+    stabilize,
+)
 from conftest import path_dissim  # noqa: E402
 
 INF = math.inf
@@ -86,6 +97,8 @@ def assert_strategies_agree(a):
 @example(path_dissim(9))  # the middle rows settle last
 @example(hub_dissim(7))  # every row settles after one squaring
 @example(two_components(5))  # rows settle per component
+# codes 0..3: every product, the 32- and 12-row live blocks too, takes the 0/1 path
+@example(pairwise_matrix(lattice_generate(LatticeConfig(3, 3, 2, 2))))
 def test_doubling_matches_linear(a):
     assert_strategies_agree(a)
 
@@ -120,3 +133,45 @@ def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated):
     # n levels take codes 0..n: 255 levels fit uint8, 256 need uint16
     assert dtypes == {np.dtype(np.uint8 if n == 255 else np.uint16)}
     assert_strategies_agree(a)
+
+
+@st.composite
+def code_operands(draw):
+    """An R x n and an n x P array of codes 0..top, in one unsigned dtype."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    top = draw(st.integers(0, semiring._FEW_LEVELS + 2))
+    r, n, p = (draw(st.integers(1, 12)) for _ in range(3))
+    codes = st.integers(0, top)
+    return draw(arrays(dtype, (r, n), elements=codes)), draw(arrays(dtype, (n, p), elements=codes))
+
+
+def staircase(r, n, p, top, dtype=np.uint8):
+    """Operands whose codes cycle through 0..top, so both reach ``top``."""
+    return (np.arange(r * n).reshape(r, n) % (top + 1)).astype(dtype), (
+        (np.arange(n * p).reshape(n, p) * 3) % (top + 1)
+    ).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(code_operands(), st.integers(1, 5))
+@example(staircase(1, 1, 1, 0), 1)
+@example(staircase(1, 9, 11, semiring._FEW_LEVELS), 4)
+@example(staircase(11, 9, 1, semiring._FEW_LEVELS, np.uint16), 4)
+@example(staircase(10, 13, 7, semiring._FEW_LEVELS), 3)  # 10 and 7 rows in tiles of 3
+@example(staircase(10, 13, 7, semiring._FEW_LEVELS + 1), 3)
+def test_few_level_codes_match_the_float_product(operands, tile):
+    a, b = operands
+    top = int(max(a.max(), b.max()))
+    taken = []
+
+    def recorded(x, y, t, _orig=semiring._threshold_product):
+        taken.append(t)
+        return _orig(x, y, t)
+
+    # tiles of ``tile`` rows and columns, so that small shapes split too
+    with mock.patch.object(semiring, "_TILE_BYTES", 4 * a.shape[1] * tile), \
+            mock.patch.object(semiring, "_threshold_product", recorded):
+        c = minmax_product(a, b)
+    assert taken == ([top] if top <= semiring._FEW_LEVELS else [])
+    assert c.dtype == a.dtype
+    assert np.array_equal(c, minmax_product(a.astype(float), b.astype(float)))

@@ -16,7 +16,7 @@ from ultraclust import (
 )
 from ultraclust import semiring
 from ultraclust.semiring import power_chain
-from conftest import path_dissim, random_dissim
+from conftest import path_dissim, peak_bytes, random_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
 A3_SQ = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]], dtype=float)
@@ -76,6 +76,14 @@ class TestProduct:
                      (u8, u8.astype(float)), (u8.tolist(), u8.tolist())):
             c = minmax_product(a, b)
             assert c.dtype == np.float64 and np.array_equal(c, [[0, 3], [3, 0]])
+
+    def test_few_level_codes_stay_in_bounded_memory(self, rng):
+        # n=2000 codes 0..2 take the 0/1 path; whole float32 copies of both
+        # operands would add 30 MiB to the 3.8 MiB result
+        c = rng.integers(0, 3, (2000, 2000)).astype(np.uint8)
+        out, peak = peak_bytes(minmax_product, c, c)
+        assert peak < out.nbytes + 6 * 2**20
+        assert np.array_equal(out[:3, :4], brute_product(c[:3], c[:, :4]))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
