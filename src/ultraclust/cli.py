@@ -213,8 +213,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", help="deterministic lattice point sets")
     p.add_argument("--grid", required=True, help="cluster arrangement, RxC")
     p.add_argument("--cluster", required=True, help="points per cluster, AxB")
-    p.add_argument("--spacing", type=float, default=1.0)
-    p.add_argument("--gap", type=float, default=3.0)
+    p.add_argument("--spacing", type=float, default=1.0,
+                   help="distance between neighbouring points of a cluster")
+    p.add_argument("--gap", type=float, default=3.0,
+                   help="distance added between adjacent clusters (nearest points: spacing + gap)")
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_generate)
 

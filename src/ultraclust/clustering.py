@@ -73,15 +73,11 @@ def spheric_clustering(u, r: float) -> Clustering:
             "apply subdominant() first"
         )
     _check_radius(r)
-    n = u.shape[0]
-    assignment = np.full(n, -1, dtype=int)
-    next_id = 0
-    for i in range(n):
-        if assignment[i] >= 0:
-            continue
-        assignment[u[i] <= r] = next_id
-        next_id += 1
-    return Clustering(n=n, assignment=assignment, radius=float(r))
+    # u <= r is an equivalence relation: label each point by its cluster's
+    # smallest member, then number clusters in order of that member
+    first = np.argmax(u <= r, axis=1)
+    assignment = np.unique(first, return_inverse=True)[1]
+    return Clustering(n=u.shape[0], assignment=assignment, radius=float(r))
 
 
 def is_perfect_clustering(a, c: Clustering) -> bool:
@@ -103,9 +99,8 @@ def is_perfect_clustering(a, c: Clustering) -> bool:
     iu, ju = np.triu_indices(n, 1)
     same = assignment[iu] == assignment[ju]
     vals = a[iu, ju]
-    max_within = vals[same].max() if same.any() else -np.inf
-    min_between = vals[~same].min() if (~same).any() else np.inf
-    return bool(max_within < min_between)
+    # an empty side holds vacuously, even against within-cluster pairs at inf
+    return bool(same.all() or not same.any() or vals[same].max() < vals[~same].min())
 
 
 @dataclass(frozen=True)

@@ -7,12 +7,15 @@ row and may start with a ``# dim=<d>`` comment.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .semiring import _BLOCK_BYTES, validate_dissimilarity
+
+_CSV = dict(delimiter=",", comments=None, ndmin=2)  # an inline "#" is a parse error
 
 __all__ = [
     "LatticeConfig",
@@ -31,9 +34,9 @@ class LatticeConfig:
     """Layout of a planar lattice dataset of rectangular clusters.
 
     ``grid_rows`` x ``grid_cols`` clusters, each a ``cluster_rows`` x
-    ``cluster_cols`` grid of points ``spacing`` apart.  ``gap`` is the
-    number of empty spacing units between adjacent clusters, so gap = 0
-    degenerates into one uniform grid.
+    ``cluster_cols`` grid of points ``spacing`` apart.  ``gap`` is a
+    distance added between adjacent clusters: their nearest points are
+    ``spacing + gap`` apart, so gap = 0 degenerates into one uniform grid.
     """
 
     grid_rows: int
@@ -78,11 +81,26 @@ def lattice_generate(config: LatticeConfig) -> np.ndarray:
     return np.asarray(pts, dtype=float)
 
 
+def _physical_memory() -> int | None:
+    """Bytes of physical memory, or None where sysconf cannot report them."""
+    try:
+        return max(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0) or None
+    except (AttributeError, ValueError, OSError):
+        return None
+
+
 def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
     """Pairwise distance matrix of a point set under the chosen metric."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
+    n = pts.shape[0]
+    memory = _physical_memory()
+    if memory and 8 * n * n > memory:
+        raise ValidationError(
+            f"{n} points need a {8 * n * n / 2**20:.1f} MiB distance matrix, "
+            f"more than the {memory / 2**20:.1f} MiB of physical memory"
+        )
     if not np.all(np.isfinite(pts)):
         i, j = np.argwhere(~np.isfinite(pts))[0]
         raise ValidationError(f"row {i}, column {j}: coordinate must be finite, got {pts[i, j]}")
@@ -90,7 +108,6 @@ def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
         raise ValidationError("duplicate points violate dissimilarity definiteness")
     if metric not in ("manhattan", "euclidean"):
         raise ValidationError(f"unknown metric {metric!r}")
-    n = pts.shape[0]
     d = np.empty((n, n))
     # rows of about 1 MiB of (rows, n, dim) difference at a time
     block = max(1, _BLOCK_BYTES // max(pts.nbytes, 1))
@@ -121,55 +138,52 @@ def example1_matrix() -> np.ndarray:
     )
 
 
+def _width(line: str, usecols=None) -> int:
+    """Entries numpy's reader parses from one CSV line, or 0 if it rejects one."""
+    try:
+        return np.loadtxt([line], usecols=usecols, **_CSV).shape[1]
+    except ValueError:
+        return 0
+
+
 def _parse_rows(path, fh, what: str, unit: str, comments: bool = False) -> np.ndarray:
     """Parse the CSV lines of an open text file into a 2-D float array of equal-width rows.
 
     Blank lines are skipped, and so are ``#`` lines when ``comments`` is set;
     ``what`` and ``unit`` name the file kind and a row's entries in errors.
-    A first pass counts the rows, so that the second parses each row straight
-    into one preallocated array.
+    numpy's reader parses the file in one call; only if it fails is the file
+    read again, a line at a time, to word the error.
     """
 
-    def skipped(line):
-        return not line.strip() or (comments and line.lstrip().startswith("#"))
+    def kept():
+        fh.seek(0)
+        return ((r, line) for r, line in enumerate(fh)
+                if line.strip() and not (comments and line.lstrip().startswith("#")))
 
-    count = sum(1 for line in fh if not skipped(line))
-    if not count:
+    if next(kept(), None) is None:
         raise ValidationError(f"{path}: empty {what} file")
-    fh.seek(0)
-    out, mismatch = None, None
-    rows = ((r, line) for r, line in enumerate(fh) if not skipped(line))
-    for i, (r, line) in enumerate(rows):
-        tokens = line.strip().split(",")
-        try:
-            # numpy applies float() to each token (' 1 ', 'inf', 'nan' parse)
-            row = np.array(tokens, dtype=float)
-        except ValueError:
-            for c, token in enumerate(tokens):
-                try:
-                    float(token)
-                except ValueError:
-                    raise ValidationError(
-                        f"row {r}, column {c}: cannot parse {token.strip()!r} as a number"
-                    ) from None
-            raise
-        if out is None:
-            out = np.empty((count, row.size))
-        if row.size == out.shape[1]:
-            out[i] = row
-        elif mismatch is None:
-            # a parse error in a later row takes precedence
-            mismatch = f"{path}: row {i} has {row.size} {unit}, expected {out.shape[1]}"
-    if mismatch:
-        raise ValidationError(mismatch)
-    return out
+    try:
+        return np.loadtxt((line for _, line in kept()), **_CSV)
+    except ValueError:
+        pass
+    widths = []
+    for r, line in kept():
+        widths.append(_width(line))
+        if not widths[-1]:
+            # the first token numpy rejects wins over an earlier row of the wrong width
+            tokens = line.split(",")
+            c = next(c for c in range(len(tokens)) if not _width(line, c))
+            raise ValidationError(f"row {r}, column {c}: cannot parse {tokens[c].strip()!r} as a number")
+    # every row parses, so numpy failed on a row of another width
+    i = next(i for i, k in enumerate(widths) if k != widths[0])
+    raise ValidationError(f"{path}: row {i} has {widths[i]} {unit}, expected {widths[0]}")
 
 
 def load_matrix_csv(path) -> np.ndarray:
     """Load and validate a dissimilarity matrix from CSV."""
     with open(path) as fh:
         a = _parse_rows(path, fh, "matrix", "entries")
-    if np.any(np.asarray(a) < 0):
+    if np.any(a < 0):
         i, j = np.argwhere(a < 0)[0]
         raise ValidationError(f"{path}: negative entry at row {i}, column {j}")
     try:

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from ultraclust import example1_matrix, is_ultrametric, save_matrix_csv, subdominant
-from ultraclust import semiring, ultrametric
+from ultraclust import example1_matrix, is_ultrametric, save_matrix_csv, save_points_csv, subdominant
+from ultraclust import data, semiring, ultrametric
 from ultraclust.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import random_dissim
 
@@ -133,6 +133,17 @@ class TestCluster:
         path.write_text("0,0\n1,nan\n5,5\n")
         assert main(["cluster", "--input", str(path), "--kind", "points"]) == EXIT_VALIDATION
         assert "row 1, column 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "ultrametric", "cluster"])
+    def test_points_beyond_memory_are_validation_error(self, tmp_path, monkeypatch, capsys, rng,
+                                                       command):
+        path = tmp_path / "pts.csv"
+        save_points_csv(rng.uniform(0, 1, (1000, 2)), path)
+        monkeypatch.setattr(data, "_physical_memory", lambda: 2**20)
+        assert main([command, "--input", str(path), "--kind", "points"]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: 1000 points need a 7.6 MiB distance matrix")
+        assert captured.out == ""
 
 
 class TestHistogram:

@@ -1,6 +1,10 @@
+import os
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from ultraclust import data
 from ultraclust import (
     subdominant,
     Clustering,
@@ -97,6 +101,23 @@ class TestPairwiseMatrix:
         with pytest.raises(ValidationError, match=r"row 0, column 0: .*finite"):
             pairwise_matrix(np.full((2, 2), np.nan), "euclidean")
 
+    def test_matrix_larger_than_memory_rejected_up_front(self, monkeypatch):
+        # 1000 points need 7.6 MiB; a 4 MiB machine is simulated, nothing that large is allocated
+        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        pts = np.zeros((1000, 2))  # duplicates too: the memory check comes first
+        message = r"^1000 points need a 7\.6 MiB .* than the 4\.0 MiB of physical memory$"
+        with pytest.raises(ValidationError, match=message):
+            pairwise_matrix(pts)
+        assert pairwise_matrix(pts[:2] + [[0, 0], [1, 1]]).shape == (2, 2)
+
+    def test_memory_guard_skipped_without_a_probe(self, monkeypatch, rng):
+        monkeypatch.setattr(os, "sysconf", mock.Mock(side_effect=ValueError))
+        assert data._physical_memory() is None
+        assert pairwise_matrix(rng.uniform(0, 1, (50, 2))).shape == (50, 50)
+
+    def test_memory_probe_reports_physical_memory(self):
+        assert data._physical_memory() > 2**20
+
 
 class TestExample1:
     def test_table_entries(self):
@@ -184,13 +205,16 @@ class TestCsvRoundTrip:
             ("0,1\n1, x \n", "row 1, column 1: cannot parse 'x' as a number"),
             ("# dim=2\n0,1\n1,0\n", "row 0, column 0"),
             ("", "empty matrix file"),
+            # numpy's reader takes neither digit separators nor non-ASCII digits
+            ("0,1_0\n1_0,0\n", "row 0, column 1: cannot parse '1_0' as a number"),
+            ("0,\u0661\n\u0661,0\n", "row 0, column 1: cannot parse '\u0661'"),
+            ("0,1\n\n1,0,3\n\n1,x\n", "row 4, column 1: cannot parse 'x'"),
+            pytest.param("\n".join(["1," * 39 + "1"] * 39 + ["1," * 39 + "x"]), "row 39, column 39",
+                         id="last-token-of-40x40"),
         ],
     )
-    def test_validation_errors(self, tmp_path, text, fragment):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValidationError, match=fragment):
-            load_matrix_csv(path)
+    def test_validation_errors(self, tmp_path, monkeypatch, text, fragment):
+        assert_reader_error(monkeypatch, load_matrix_csv, tmp_path / "bad.csv", text, fragment)
 
     @pytest.mark.parametrize(
         "text,fragment",
@@ -199,10 +223,23 @@ class TestCsvRoundTrip:
             ("# dim=2\n0,0\n1,2,3\n# x\n1,y\n", "row 4, column 1"),
             ("# dim=2\n0,0\n1,y\n", "row 2, column 1"),
             ("# dim=2\n\n", "empty points file"),
+            ("# dim=2\n\n0,0\n\n1,2,3\n# x\n\n1,y\n", "row 7, column 1: cannot parse 'y'"),
+            ("# dim=2\n0,0 # x\n", "row 1, column 1: cannot parse '0 # x'"),
+            ("# dim=1\n1_0\n", "row 1, column 0: cannot parse '1_0'"),
         ],
     )
-    def test_points_validation_errors(self, tmp_path, text, fragment):
-        path = tmp_path / "bad.csv"
-        path.write_text(text)
-        with pytest.raises(ValidationError, match=fragment):
-            load_points_csv(path)
+    def test_points_validation_errors(self, tmp_path, monkeypatch, text, fragment):
+        assert_reader_error(monkeypatch, load_points_csv, tmp_path / "bad.csv", text, fragment)
+
+
+def assert_reader_error(monkeypatch, load, path, text, fragment):
+    """load(path) of text raises fragment, having called numpy's reader at most
+    once for the file, once per line and once per token of one line."""
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **k: calls.append(1) or real(*a, **k))
+    path.write_text(text)
+    with pytest.raises(ValidationError, match=fragment):
+        load(path)
+    lines = text.splitlines()
+    assert len(calls) <= 1 + len(lines) + max((len(line.split(",")) for line in lines), default=0)

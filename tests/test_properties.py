@@ -1,7 +1,8 @@
 """Property tests: the level-code doubling search and the spanning-forest sweep
 agree with the float chain, the facts by which doubling settles rows hold
-on the float powers, and few-level codes multiply as the broadcast kernel
-multiplies their float copies."""
+on the float powers, few-level codes multiply as the broadcast kernel
+multiplies their float copies, the power chain falls to A*, spheric
+clusterings nest, and CSV files read back exactly what was written."""
 
 import math
 from unittest import mock
@@ -15,14 +16,22 @@ from hypothesis.extra.numpy import arrays  # noqa: E402
 
 from ultraclust import (  # noqa: E402
     LatticeConfig,
+    is_perfect_clustering,
     lattice_generate,
+    load_matrix_csv,
+    load_points_csv,
     minimax_oracle,
     minmax_product,
     pairwise_matrix,
     power,
+    save_matrix_csv,
+    save_points_csv,
     semiring,
+    spheric_clustering,
     stabilize,
+    subdominant,
 )
+from ultraclust.semiring import power_chain  # noqa: E402
 from conftest import path_dissim  # noqa: E402
 
 INF = math.inf
@@ -175,3 +184,70 @@ def test_few_level_codes_match_the_float_product(operands, tile):
     assert taken == ([top] if top <= semiring._FEW_LEVELS else [])
     assert c.dtype == a.dtype
     assert np.array_equal(c, minmax_product(a.astype(float), b.astype(float)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_dissims())
+@example(two_components(4))  # ends at inf entries
+def test_power_chain_falls_to_the_fixpoint(a):
+    chain = list(power_chain(a))
+    for p, q in zip(chain, chain[1:]):
+        assert np.all(q <= p) and not np.array_equal(q, p)
+    assert chain[-1].tobytes() == minimax_oracle(a).tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_dissims(), st.lists(st.floats(0.0, 70.0), max_size=4))
+@example(two_components(3), [])  # r = inf joins the two components
+def test_spheric_clusterings_nest_as_the_radius_grows(a, extra):
+    u = subdominant(a)
+    radii = sorted({0.0, INF, *np.unique(u).tolist(), *extra})
+    clusterings = [spheric_clustering(u, r) for r in radii]
+    for c in clusterings:
+        assert is_perfect_clustering(u, c)
+    for fine, coarse in zip(clusterings, clusterings[1:]):
+        # each cluster of the smaller radius lies inside one of the larger
+        for k in range(fine.num_clusters):
+            assert np.unique(coarse.assignment[fine.assignment == k]).size == 1
+    assert clusterings[0].num_clusters == u.shape[0]
+    assert clusterings[-1].num_clusters == 1
+
+
+# 0 < x <= inf, with subnormals and the ends of the double range drawn often
+positive = st.one_of(
+    st.sampled_from([INF, 5e-324, 1e-310, 1e-300, 1e300, 1.7976931348623157e308]),
+    st.floats(min_value=0.0, exclude_min=True, allow_infinity=True),
+)
+coordinate = st.one_of(
+    st.sampled_from([INF, -INF, 5e-324, -1e-310, 1e-300, -1e300, 1e300, -0.0]),
+    st.floats(allow_nan=False),
+)
+
+
+@st.composite
+def csv_matrices(draw):
+    n = draw(st.integers(1, 8))
+    size = n * (n - 1) // 2
+    return symmetric(n, draw(st.lists(positive, min_size=size, max_size=size)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(csv_matrices())
+@example(np.zeros((1, 1)))
+@example(symmetric(3, [5e-324, 1e300, INF]))
+def test_matrix_csv_round_trip(tmp_path_factory, a):
+    path = tmp_path_factory.mktemp("matrix") / "a.csv"
+    save_matrix_csv(a, path)
+    b = load_matrix_csv(path)
+    assert b.dtype == np.float64 and b.shape == a.shape and b.tobytes() == a.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(arrays(np.float64, st.tuples(st.integers(1, 8), st.integers(1, 4)), elements=coordinate))
+@example(np.array([[1e-310]]))  # one point, one column
+@example(np.array([[INF], [-1e300], [-0.0]]))
+def test_points_csv_round_trip(tmp_path_factory, pts):
+    path = tmp_path_factory.mktemp("points") / "p.csv"
+    save_points_csv(pts, path)
+    b = load_points_csv(path)
+    assert b.dtype == np.float64 and b.shape == pts.shape and b.tobytes() == pts.tobytes()
