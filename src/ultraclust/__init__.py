@@ -5,79 +5,22 @@ powers until it stabilizes; the fixpoint is the subdominant ultrametric,
 the stabilization power m yields the clusterability score n/m, and the
 stabilized matrix supports spheric clusterings and histogram-based
 cluster-count estimates.
+
+The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from .clustering import (
-    Clustering,
-    DistanceHistogram,
-    closed_sphere,
-    distance_histogram,
-    estimate_num_clusters,
-    is_perfect_clustering,
-    radii_from_valleys,
-    spheric_clustering,
-)
-from .data import (
-    LatticeConfig,
-    example1_matrix,
-    lattice_generate,
-    load_matrix_csv,
-    load_points_csv,
-    pairwise_matrix,
-    save_matrix_csv,
-    save_points_csv,
-)
-from .errors import NotUltrametricError, ValidationError
-from .semiring import (
-    StabilizationResult,
-    identity,
-    matrix_leq,
-    minmax_product,
-    power,
-    stabilize,
-    validate_dissimilarity,
-)
-from .ultrametric import (
-    clusterability,
-    is_ultrametric,
-    minimax_oracle,
-    subdominant,
-    sup_ultrametrics,
-    ultrametricity,
-)
+from . import clustering, data, errors, semiring, ultrametric
+from .clustering import *  # noqa: F403
+from .data import *  # noqa: F403
+from .errors import *  # noqa: F403
+from .semiring import *  # noqa: F403
+from .ultrametric import *  # noqa: F403
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Clustering",
-    "DistanceHistogram",
-    "LatticeConfig",
-    "NotUltrametricError",
-    "StabilizationResult",
-    "ValidationError",
-    "closed_sphere",
-    "clusterability",
-    "distance_histogram",
-    "estimate_num_clusters",
-    "example1_matrix",
-    "identity",
-    "is_perfect_clustering",
-    "is_ultrametric",
-    "lattice_generate",
-    "load_matrix_csv",
-    "load_points_csv",
-    "matrix_leq",
-    "minimax_oracle",
-    "minmax_product",
-    "pairwise_matrix",
-    "power",
-    "radii_from_valleys",
-    "save_matrix_csv",
-    "save_points_csv",
-    "spheric_clustering",
-    "stabilize",
-    "subdominant",
-    "sup_ultrametrics",
-    "ultrametricity",
-    "validate_dissimilarity",
-]
+__all__ = []
+__all__ += clustering.__all__
+__all__ += data.__all__
+__all__ += errors.__all__
+__all__ += semiring.__all__
+__all__ += ultrametric.__all__

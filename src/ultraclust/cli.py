@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -42,19 +41,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-@dataclass
-class AnalysisReport:
-    n: int
-    m: int
-    clusterability: float
-    ultrametricity: float
-    is_ultrametric: bool
-    distinct_values_before: int
-    distinct_values_after: int
-    estimated_k: int | None
-    suggested_radius: float | None
-
-
 def _load_matrix(args) -> np.ndarray:
     if args.kind == "matrix":
         return load_matrix_csv(args.input)
@@ -79,21 +65,21 @@ def cmd_analyze(args) -> int:
     a = _load_matrix(args)
     result = stabilize(a)
     hist = distance_histogram(result.star, mode="distinct")
-    report = AnalysisReport(
-        n=a.shape[0],
-        m=result.m,
-        clusterability=result.ultrametricity,
-        ultrametricity=result.ultrametricity,
-        is_ultrametric=result.m == 1,
-        distinct_values_before=distance_histogram(a).values.size,
-        distinct_values_after=hist.values.size,
-        estimated_k=estimate_num_clusters(hist.num_peaks),
-        suggested_radius=_auto_radius(hist),
-    )
+    report = {
+        "n": a.shape[0],
+        "m": result.m,
+        "clusterability": result.ultrametricity,
+        "ultrametricity": result.ultrametricity,
+        "is_ultrametric": result.m == 1,
+        "distinct_values_before": distance_histogram(a).values.size,
+        "distinct_values_after": hist.values.size,
+        "estimated_k": estimate_num_clusters(hist.num_peaks),
+        "suggested_radius": _auto_radius(hist),
+    }
     if args.format == "json":
-        text = json.dumps(asdict(report), indent=2) + "\n"
+        text = json.dumps(report, indent=2) + "\n"
     else:
-        lines = [f"{key} = {value}" for key, value in asdict(report).items()]
+        lines = [f"{key} = {value}" for key, value in report.items()]
         lines.append("note: clusterability above 5 was observed for clusterable datasets")
         text = "\n".join(lines) + "\n"
     _emit(text, args.output)
@@ -173,8 +159,8 @@ def cmd_generate(args) -> int:
     points = lattice_generate(config)
     if args.output:
         save_points_csv(points, args.output)
-    else:
-        _emit("\n".join(",".join(f"{v:.17g}" for v in p) for p in points) + "\n", None)
+    else:  # no "# dim" header on stdout
+        np.savetxt(sys.stdout, points, fmt="%.17g", delimiter=",")
     return EXIT_OK
 
 

@@ -7,6 +7,7 @@ row and may start with a ``# dim=<d>`` comment.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 
@@ -48,12 +49,16 @@ class LatticeConfig:
 
     def __post_init__(self):
         for name in ("grid_rows", "grid_cols", "cluster_rows", "cluster_cols"):
-            if getattr(self, name) < 1:
+            count = getattr(self, name)
+            if not isinstance(count, (int, np.integer)) or count < 1:
                 raise ValidationError(f"{name} must be a positive integer")
         if self.spacing <= 0:
             raise ValidationError("spacing must be positive")
         if self.gap < 0:
             raise ValidationError("gap must be nonnegative")
+        for name in ("spacing", "gap"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValidationError(f"{name} must be finite, got {getattr(self, name)}")
 
     @property
     def total_points(self) -> int:
@@ -65,20 +70,19 @@ def lattice_generate(config: LatticeConfig) -> np.ndarray:
 
     Cluster origins advance by cluster_size * spacing + gap along each
     axis; nearest points of adjacent clusters end up spacing + gap apart.
-    Returns an (n, 2) array in row-major cluster-then-point order.
+    Returns an (n, 2) array in row-major cluster-then-point order; raises
+    ``ValidationError`` if a coordinate overflows.
     """
-    stride_r = config.cluster_rows * config.spacing + config.gap
-    stride_c = config.cluster_cols * config.spacing + config.gap
-    pts = []
-    for gr in range(config.grid_rows):
-        for gc in range(config.grid_cols):
-            for cr in range(config.cluster_rows):
-                for cc in range(config.cluster_cols):
-                    pts.append(
-                        (gr * stride_r + cr * config.spacing,
-                         gc * stride_c + cc * config.spacing)
-                    )
-    return np.asarray(pts, dtype=float)
+    spacing, gap = float(config.spacing), float(config.gap)
+    stride_r = config.cluster_rows * spacing + gap
+    stride_c = config.cluster_cols * spacing + gap
+    shape = (config.grid_rows, config.grid_cols, config.cluster_rows, config.cluster_cols)
+    gr, gc, cr, cc = np.indices(shape).reshape(4, -1)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf, or nan from 0 times an inf stride
+        pts = np.column_stack((gr * stride_r + cr * spacing, gc * stride_c + cc * spacing))
+    if not np.all(np.isfinite(pts)):
+        raise ValidationError(f"lattice coordinates overflow: spacing {spacing:g} and gap {gap:g} are too large")
+    return pts
 
 
 def _physical_memory() -> int | None:

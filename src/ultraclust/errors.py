@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["NotUltrametricError", "ValidationError"]
+
 
 class ValidationError(ValueError):
     """Raised when an input matrix, point set, or file fails validation."""

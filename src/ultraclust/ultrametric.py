@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NotUltrametricError, ValidationError
-from .semiring import _level_codes, minmax_product, stabilize, validate_dissimilarity
+from .semiring import _level_codes, minimax_oracle, minmax_product, stabilize, validate_dissimilarity
 
 __all__ = [
     "clusterability",
@@ -39,49 +39,6 @@ def is_ultrametric(a) -> bool:
 def subdominant(a) -> np.ndarray:
     """Largest ultrametric dominated by ``a`` (the stabilization fixpoint A*)."""
     return minimax_oracle(validate_dissimilarity(a))
-
-
-def minimax_oracle(weights) -> np.ndarray:
-    """All-pairs minimax path weights of a symmetric weighted graph.
-
-    For each pair the minimum over connecting paths of the largest edge
-    weight; ``inf`` between disconnected components; non-finite weights are
-    not edges.  A dense Prim sweep grows a minimum spanning forest in O(n^2)
-    and fills the result as it goes: a vertex v that joins through the edge
-    (via[v], v) of weight best[v] gets max(best[v], A*[via[v], u]) to every
-    vertex u already in the forest, and ``inf`` if it starts a new tree.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"expected a square weight matrix, got {w.shape}")
-    if not np.array_equal(w, w.T):
-        raise ValidationError("weight matrix must be symmetric")
-    n = w.shape[0]
-
-    # best[v]: lightest edge from the forest grown so far to v, via[v] its end
-    best = np.full(n, np.inf)
-    via = np.full(n, -1)
-    outside = np.ones(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)  # vertices in the order they join
-    out = np.full((n, n), np.inf)
-    # -inf until the end, so that v's entry at via[v] is best[v] even if negative
-    np.fill_diagonal(out, -np.inf)
-    for k in range(n):
-        rest = np.flatnonzero(outside)
-        # with no finite edge into the rest, argmin picks its first vertex: a new tree
-        v = int(rest[np.argmin(best[rest])])
-        if via[v] >= 0:
-            # every forest path from v to an earlier vertex starts with (v, via[v])
-            done = order[:k]
-            out[v, done] = out[done, v] = np.maximum(best[v], out[via[v], done])
-        order[k] = v
-        outside[v] = False
-        row = w[v]
-        closer = outside & np.isfinite(row) & (row < best)
-        best[closer] = row[closer]
-        via[closer] = v
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def sup_ultrametrics(mats) -> np.ndarray:

@@ -233,6 +233,22 @@ class TestGenerate:
     def test_bad_grid_flag(self):
         assert main(["generate", "--grid", "2by2", "--cluster", "3x3"]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("flags", [
+        ["--spacing", "nan"],
+        ["--spacing", "inf"],
+        ["--gap", "nan"],
+        ["--gap", "inf"],
+        ["--spacing", "1e308", "--cluster", "3x1"],
+    ])
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_non_finite_lattice_is_validation_error(self, flags, to_file, tmp_path, capsys):
+        out = tmp_path / "pts.csv"
+        argv = ["generate", "--grid", "1x1", "--cluster", "2x1", *flags]
+        assert main(argv + ["--output", str(out)] * to_file) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestUsageErrors:
     def test_strategy_flag_removed(self, ex1_csv):

@@ -56,6 +56,29 @@ class TestLattice:
         with pytest.raises(ValidationError):
             LatticeConfig(1, 1, 1, 1, spacing=0)
 
+    @pytest.mark.parametrize("field", ["spacing", "gap"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_spacing_and_gap_must_be_finite(self, field, value):
+        with pytest.raises(ValidationError, match=f"{field} must be finite"):
+            LatticeConfig(1, 1, 2, 1, **{field: value})
+
+    @pytest.mark.parametrize("counts", [(2.5, 1, 1, 1), (1, 1, 2.0, 1), (1, "2", 1, 1)])
+    def test_counts_must_be_integers(self, counts):
+        with pytest.raises(ValidationError, match="must be a positive integer"):
+            LatticeConfig(*counts)
+
+    def test_numpy_integer_counts(self):
+        assert lattice_generate(LatticeConfig(np.int64(2), 1, np.uint8(1), 1)).shape == (2, 2)
+
+    @pytest.mark.parametrize("config", [
+        LatticeConfig(1, 1, 3, 1, spacing=1e308),  # a point past the largest double
+        LatticeConfig(1, 1, 2, 1, spacing=1e308),  # the cluster stride overflows
+        LatticeConfig(3, 1, 1, 1, gap=1e308),
+    ])
+    def test_overflowing_coordinates(self, config):
+        with pytest.raises(ValidationError, match="overflow"):
+            lattice_generate(config)
+
 
 class TestPairwiseMatrix:
     def test_manhattan(self):

@@ -1,5 +1,6 @@
 """Property tests: the level-code doubling search and the spanning-forest sweep
-agree with the float chain, the facts by which doubling settles rows hold
+agree with the float chain, both strategies' m is the largest hop count of a
+minimax path, the facts by which doubling settles rows hold
 on the float powers, few-level codes multiply as the broadcast kernel
 multiplies their float copies, the power chain falls to A*, spheric
 clusterings nest, and CSV files read back exactly what was written."""
@@ -24,6 +25,7 @@ from ultraclust import (  # noqa: E402
     minmax_product,
     pairwise_matrix,
     power,
+    power_chain,
     save_matrix_csv,
     save_points_csv,
     semiring,
@@ -31,7 +33,6 @@ from ultraclust import (  # noqa: E402
     stabilize,
     subdominant,
 )
-from ultraclust.semiring import power_chain  # noqa: E402
 from conftest import path_dissim  # noqa: E402
 
 INF = math.inf
@@ -251,3 +252,38 @@ def test_points_csv_round_trip(tmp_path_factory, pts):
     save_points_csv(pts, path)
     b = load_points_csv(path)
     assert b.dtype == np.float64 and b.shape == pts.shape and b.tobytes() == pts.tobytes()
+
+
+def hop_count_m(a):
+    """m as the most hops any pair needs along a path no heavier than its A* entry.
+
+    A^k[i, j] <= t exactly when i reaches j in at most k hops over edges
+    a <= t, and A^k >= A*, so pair (i, j) needs the least such k for
+    t = A*[i, j].  Reachability grows one hop at a time by boolean products.
+    """
+    star = minimax_oracle(a)
+    n = a.shape[0]
+    m = 1
+    for t in np.unique(star[~np.eye(n, dtype=bool)]):
+        edges = a <= t  # the zero diagonal keeps every shorter walk
+        reach, hops = edges, 1
+        while not reach[star == t].all():
+            reach, hops = reach @ edges, hops + 1
+            assert hops < n
+        m = max(m, hops)
+    return m
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(small_dissims(), csv_matrices()))
+@example(path_dissim(1))
+@example(path_dissim(2))
+@example(path_dissim(5))
+@example(path_dissim(33))  # m = 32
+@example(symmetric(5, [1.0, 2.0] * 5))  # two values off the diagonal
+@example(symmetric(4, [INF] * 6))  # every pair apart
+@example(two_components(5))  # inf between the components
+def test_m_is_the_largest_hop_count(a):
+    m = hop_count_m(a)
+    assert stabilize(a).m == m
+    assert stabilize(a, "linear").m == m

@@ -10,12 +10,12 @@ from ultraclust import (
     matrix_leq,
     minmax_product,
     power,
+    power_chain,
     stabilize,
     subdominant,
     validate_dissimilarity,
 )
 from ultraclust import semiring
-from ultraclust.semiring import power_chain
 from conftest import path_dissim, peak_bytes, random_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
