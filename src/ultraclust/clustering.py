@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .data import _check_memory
 from .errors import NotUltrametricError, ValidationError
 from .ultrametric import is_ultrametric
 from .semiring import validate_dissimilarity
@@ -175,6 +176,8 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
         bins = max(1, math.ceil(math.sqrt(max(vals.size, 1))))
     if bins < 1:
         raise ValidationError(f"bins must be positive, got {bins}")
+    need = 16 * int(bins) + 8  # float64 edges, int64 counts
+    _check_memory(need, f"{bins} bins need {need / 2**20:.1f} MiB of edges and counts")
     if finite.size == 0:
         edges = np.linspace(0.0, 1.0, bins + 1)
         counts = np.zeros(bins, dtype=int)

@@ -16,6 +16,9 @@ import numpy as np
 from .errors import ValidationError
 from .semiring import _BLOCK_BYTES, validate_dissimilarity
 
+# peak bytes per point of lattice_generate: four int64 indices, two float64
+# columns and their (n, 2) stack
+_LATTICE_BYTES_PER_POINT = 64
 _CSV = dict(delimiter=",", comments=None, ndmin=2)  # an inline "#" is a parse error
 
 __all__ = [
@@ -62,7 +65,8 @@ class LatticeConfig:
 
     @property
     def total_points(self) -> int:
-        return self.grid_rows * self.grid_cols * self.cluster_rows * self.cluster_cols
+        # Python ints: a product of numpy-integer counts could wrap around
+        return int(self.grid_rows) * int(self.grid_cols) * int(self.cluster_rows) * int(self.cluster_cols)
 
 
 def lattice_generate(config: LatticeConfig) -> np.ndarray:
@@ -71,8 +75,11 @@ def lattice_generate(config: LatticeConfig) -> np.ndarray:
     Cluster origins advance by cluster_size * spacing + gap along each
     axis; nearest points of adjacent clusters end up spacing + gap apart.
     Returns an (n, 2) array in row-major cluster-then-point order; raises
-    ``ValidationError`` if a coordinate overflows.
+    ``ValidationError`` if the points cannot fit in memory or a coordinate
+    overflows.
     """
+    need = _LATTICE_BYTES_PER_POINT * config.total_points
+    _check_memory(need, f"{config.total_points} points need {need / 2**20:.1f} MiB to generate")
     spacing, gap = float(config.spacing), float(config.gap)
     stride_r = config.cluster_rows * spacing + gap
     stride_c = config.cluster_cols * spacing + gap
@@ -93,18 +100,24 @@ def _physical_memory() -> int | None:
         return None
 
 
+def _check_memory(nbytes: int, need: str) -> None:
+    """Raise ``ValidationError`` if ``nbytes`` exceed physical memory.
+
+    ``need`` opens the message; nothing is checked where the memory cannot
+    be probed.
+    """
+    memory = _physical_memory()
+    if memory and nbytes > memory:
+        raise ValidationError(f"{need}, more than the {memory / 2**20:.1f} MiB of physical memory")
+
+
 def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
     """Pairwise distance matrix of a point set under the chosen metric."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
     n = pts.shape[0]
-    memory = _physical_memory()
-    if memory and 8 * n * n > memory:
-        raise ValidationError(
-            f"{n} points need a {8 * n * n / 2**20:.1f} MiB distance matrix, "
-            f"more than the {memory / 2**20:.1f} MiB of physical memory"
-        )
+    _check_memory(8 * n * n, f"{n} points need a {8 * n * n / 2**20:.1f} MiB distance matrix")
     if not np.all(np.isfinite(pts)):
         i, j = np.argwhere(~np.isfinite(pts))[0]
         raise ValidationError(f"row {i}, column {j}: coordinate must be finite, got {pts[i, j]}")

@@ -11,7 +11,9 @@ never creates values that are not already present in its operands, so all
 equality tests in this module are exact (no tolerances anywhere).  Codes
 with few distinct values multiply as one 0/1 float32 matrix product per
 value (BLAS ``sgemm``), whose zero pattern is exact; all other operands go
-through a blocked broadcast kernel.  The spanning-forest sweep
+through a blocked broadcast kernel.  A product by the operand's own
+transpose, such as every squaring of a symmetric power, computes one
+triangle of its symmetric result and mirrors it.  The spanning-forest sweep
 :func:`minimax_oracle` lives here too, because :func:`stabilize` codes the
 powers by the distinct values of its result.
 """
@@ -103,6 +105,15 @@ def minmax_product(a, b) -> np.ndarray:
     is a sum of nonnegative terms, each 0 or 1: it is 0 when every term is
     and at least 1 otherwise, so rounding never flips the test and the
     result is exact for any order.
+
+    A squaring of a symmetric power has ``b`` equal to ``a``'s transpose,
+    which is tested exactly, in O(R·n) for R x n operands against the
+    product's O(R^2·n).  Then C[i,j] = min_k max(a[i,k], a[j,k]) = C[j,i],
+    so both kernels compute only the blocks on and above the diagonal and
+    mirror them.  The broadcast kernel pairs rows of ``a`` with rows of
+    ``a``, reducing over their contiguous last axis; the threshold kernel
+    multiplies a diagonal tile as ``rows @ rows.T``, for which numpy calls
+    BLAS ``syrk``.
     """
     a, b = np.asarray(a), np.asarray(b)
     if a.dtype != b.dtype or a.dtype.kind != "u":
@@ -113,22 +124,32 @@ def minmax_product(a, b) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: {a.shape} cannot multiply {b.shape}"
         )
+    symmetric = a.shape == b.shape[::-1] and np.array_equal(a, b.T)
     if a.dtype.kind == "u" and a.size and b.size:
         top = int(max(a.max(), b.max()))
         if top <= _FEW_LEVELS:
-            return _threshold_product(a, b, top)
+            return _threshold_product(a, b, top, symmetric)
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     block = max(1, _BLOCK_BYTES // max(b.nbytes, 1))
     for s in range(0, a.shape[0], block):
-        # (rows, n, p) broadcast, reduced over the shared axis
-        out[s : s + block] = np.maximum(a[s : s + block, :, None], b[None, :, :]).min(
-            axis=1
-        )
+        e = s + block
+        if symmetric:
+            # (rows, R - s, n) broadcast of rows s:e against rows s:, reduced
+            # over their contiguous last axis, then mirrored below the diagonal
+            out[s:e, s:] = np.maximum(a[s:e, None, :], a[None, s:, :]).min(axis=2)
+            out[e:, s:e] = out[s:e, e:].T
+        else:
+            # (rows, n, p) broadcast, reduced over the shared axis
+            out[s:e] = np.maximum(a[s:e, :, None], b[None, :, :]).min(axis=1)
     return out
 
 
-def _threshold_product(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
-    """Min-max product of codes at most ``top``, one 0/1 product per code value."""
+def _threshold_product(a: np.ndarray, b: np.ndarray, top: int, symmetric: bool) -> np.ndarray:
+    """Min-max product of codes at most ``top``, one 0/1 product per code value.
+
+    With ``symmetric`` (``b`` is ``a``'s transpose) only the tiles on and
+    above the diagonal are multiplied; the others are mirrored.
+    """
     out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
     tile = max(1, _TILE_BYTES // (4 * a.shape[1]))
     a01 = np.empty((min(tile, a.shape[0]), a.shape[1]), np.float32)
@@ -137,10 +158,15 @@ def _threshold_product(a: np.ndarray, b: np.ndarray, top: int) -> np.ndarray:
         rows = a01[: min(tile, a.shape[0] - s)]
         for c in range(top):
             np.less_equal(a[s : s + tile], c, out=rows)
-            for t in range(0, b.shape[1], tile):
-                cols = b01[:, : min(tile, b.shape[1] - t)]
-                np.less_equal(b[:, t : t + tile], c, out=cols)
+            for t in range(s if symmetric else 0, b.shape[1], tile):
+                if symmetric and t == s:
+                    cols = rows.T  # rows @ rows.T: numpy calls BLAS syrk
+                else:
+                    cols = b01[:, : min(tile, b.shape[1] - t)]
+                    np.less_equal(b[:, t : t + tile], c, out=cols)
                 out[s : s + tile, t : t + tile] += (rows @ cols) == 0
+        if symmetric:
+            out[s + tile :, s : s + tile] = out[s : s + tile, s + tile :].T
     return out
 
 

@@ -171,6 +171,24 @@ class TestHistogram:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows == ["1,1", "2,2"]
 
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_bins_beyond_memory_are_validation_error(self, ex1_csv, to_file, tmp_path, capsys,
+                                                     monkeypatch):
+        # a 4 MiB machine is simulated: 300,000 bins need 4.6 MiB, none of it allocated
+        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        out = tmp_path / "hist.csv"
+        argv = ["histogram", "--input", ex1_csv, "--mode", "binned", "--bins", "300000"]
+        assert main(argv + ["--output", str(out)] * to_file) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 300000 bins need 4.6 MiB of edges and counts, "
+            "more than the 4.0 MiB of physical memory\n"
+        )
+        assert not out.exists()
+        assert main(argv[:-1] + ["200000"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 200000
+
 
 class TestProductCounts:
     """Only ``cluster`` needs a min-max product: the one ultrametric check."""
@@ -248,6 +266,24 @@ class TestGenerate:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_points_beyond_memory_are_validation_error(self, to_file, tmp_path, capsys,
+                                                       monkeypatch):
+        # a 4 MiB machine is simulated: 90,000 points need 5.5 MiB, none of it allocated
+        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        out = tmp_path / "pts.csv"
+        argv = ["generate", "--grid", "1x1", "--cluster", "300x300"]
+        assert main(argv + ["--output", str(out)] * to_file) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: 90000 points need 5.5 MiB to generate, "
+            "more than the 4.0 MiB of physical memory\n"
+        )
+        assert not out.exists()
+        assert main(["generate", "--grid", "1x1", "--cluster", "200x200"]) == EXIT_OK
+        assert len(capsys.readouterr().out.splitlines()) == 40000
 
 
 class TestUsageErrors:

@@ -26,6 +26,14 @@ from conftest import peak_bytes, random_dissim
 
 
 class TestLattice:
+    def test_points_beyond_memory_rejected_up_front(self, monkeypatch):
+        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        # numpy-integer counts whose product, 2^64, would wrap to 0 in int64
+        config = LatticeConfig(*[np.int64(2**16)] * 4)
+        assert config.total_points == 2**64
+        with pytest.raises(ValidationError, match=r"^18446744073709551616 points need "):
+            lattice_generate(config)
+
     def test_four_cluster_config(self):
         pts = lattice_generate(LatticeConfig(2, 2, 3, 3, spacing=1, gap=3))
         assert pts.shape == (36, 2)

@@ -2,7 +2,8 @@
 agree with the float chain, both strategies' m is the largest hop count of a
 minimax path, the facts by which doubling settles rows hold
 on the float powers, few-level codes multiply as the broadcast kernel
-multiplies their float copies, the power chain falls to A*, spheric
+multiplies their float copies, a product by the transpose matches the
+naive product, the power chain falls to A*, spheric
 clusterings nest, and CSV files read back exactly what was written."""
 
 import math
@@ -174,9 +175,9 @@ def test_few_level_codes_match_the_float_product(operands, tile):
     top = int(max(a.max(), b.max()))
     taken = []
 
-    def recorded(x, y, t, _orig=semiring._threshold_product):
+    def recorded(x, y, t, symmetric, _orig=semiring._threshold_product):
         taken.append(t)
-        return _orig(x, y, t)
+        return _orig(x, y, t, symmetric)
 
     # tiles of ``tile`` rows and columns, so that small shapes split too
     with mock.patch.object(semiring, "_TILE_BYTES", 4 * a.shape[1] * tile), \
@@ -185,6 +186,49 @@ def test_few_level_codes_match_the_float_product(operands, tile):
     assert taken == ([top] if top <= semiring._FEW_LEVELS else [])
     assert c.dtype == a.dtype
     assert np.array_equal(c, minmax_product(a.astype(float), b.astype(float)))
+
+
+def with_transpose(a):
+    return a, a.T.copy()
+
+
+@st.composite
+def transposed_operands(draw):
+    """An R x n operand and its transpose: uint8 codes 0..top, uint16 codes or floats with inf."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16, np.float64]))
+    if dtype is np.uint8:
+        elements = st.integers(0, draw(st.integers(0, semiring._FEW_LEVELS + 2)))
+    elif dtype is np.uint16:
+        elements = st.integers(0, 2**16 - 1)
+    else:
+        elements = st.one_of(st.just(INF), st.floats(0.25, 64.0))
+    shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
+    return with_transpose(draw(arrays(dtype, shape, elements=elements)))
+
+
+def near_miss(r, n, top, dtype=np.uint8):
+    """A staircase operand and its transpose with one entry changed: not symmetric."""
+    a, b = with_transpose(staircase(r, n, 1, top, dtype)[0])
+    b[n - 1, 0] = 0 if a[0, n - 1] else 1
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(transposed_operands(), st.integers(1, 4))
+@example(with_transpose(np.zeros((1, 1), np.uint8)), 1)
+@example(with_transpose(staircase(10, 13, 1, 3)[0]), 3)  # 0/1 tiles of 3 rows
+@example(with_transpose(staircase(10, 13, 1, 40, np.uint16)[0]), 3)  # broadcast blocks
+@example(with_transpose(np.array([[INF, 1.0, 2.0], [2.0, INF, 0.5]])), 1)
+@example(near_miss(10, 13, 3), 3)
+@example(near_miss(10, 13, 40, np.uint16), 3)
+def test_products_by_the_transpose_match_the_naive_product(operands, rows):
+    a, b = operands
+    # tiles and broadcast blocks of ``rows`` rows, so that small shapes split too
+    with mock.patch.object(semiring, "_TILE_BYTES", 4 * a.shape[1] * rows), \
+            mock.patch.object(semiring, "_BLOCK_BYTES", rows * a.nbytes):
+        c = minmax_product(a, b)
+    assert c.dtype == a.dtype
+    assert np.array_equal(c, np.maximum(a[:, :, None], b[None]).min(axis=1))
 
 
 @settings(max_examples=100, deadline=None)
