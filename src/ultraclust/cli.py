@@ -103,34 +103,31 @@ def cmd_cluster(args) -> int:
             radius = float(args.radius)
         except ValueError:
             raise ValidationError(f"invalid radius {args.radius!r}") from None
-    clustering = spheric_clustering(a, radius)
-    rows = [f"{i},{int(c)}" for i, c in enumerate(clustering.assignment)]
-    _emit("\n".join(rows) + "\n", args.output)
+    assignment = spheric_clustering(a, radius).assignment
+    table = np.column_stack((np.arange(assignment.size), assignment))
+    np.savetxt(args.output or sys.stdout, table, fmt="%d", delimiter=",")
     return EXIT_OK
 
 
-def _histogram_rows(a: np.ndarray, mode: str, bins: int | None, stage: str | None):
-    hist = distance_histogram(a, mode=mode, bins=bins)
-    if hist.mode == "distinct":
-        pairs = zip(hist.values, hist.counts)
-    else:
-        mids = (hist.values[:-1] + hist.values[1:]) / 2.0
-        pairs = zip(mids, hist.counts)
-    prefix = f"{stage}," if stage is not None else ""
-    return [f"{prefix}{value:.17g},{count}" for value, count in pairs]
+def _histogram_table(a: np.ndarray, args) -> np.ndarray:
+    """(value, count) rows: the distinct values, or the bin midpoints."""
+    hist = distance_histogram(a, mode=args.mode, bins=args.bins)
+    values = hist.values
+    if hist.mode == "binned":
+        values = (values[:-1] + values[1:]) / 2.0
+    return np.column_stack((values, hist.counts))
 
 
 def cmd_histogram(args) -> int:
     a = _load_matrix(args)
-    if args.stage == "raw":
-        rows = _histogram_rows(a, args.mode, args.bins, None)
-    elif args.stage == "stabilized":
-        rows = _histogram_rows(subdominant(a), args.mode, args.bins, None)
-    else:  # trace: one histogram per distinct power A, A^2, ..., A* (m stages)
-        rows = []
-        for stage, p in enumerate(power_chain(a), 1):
-            rows.extend(_histogram_rows(p, args.mode, args.bins, str(stage)))
-    _emit("\n".join(rows) + "\n", args.output)
+    fmt = ("%.17g", "%d")
+    if args.stage == "trace":  # one histogram per distinct power A, A^2, ..., A* (m stages)
+        tables = [_histogram_table(p, args) for p in power_chain(a)]
+        table = np.vstack([np.column_stack((np.full(len(t), k), t)) for k, t in enumerate(tables, 1)])
+        fmt = ("%d", *fmt)
+    else:
+        table = _histogram_table(subdominant(a) if args.stage == "stabilized" else a, args)
+    np.savetxt(args.output or sys.stdout, table, fmt=fmt, delimiter=",")
     return EXIT_OK
 
 

@@ -54,6 +54,8 @@ def closed_sphere(a, center: int, r: float) -> set[int]:
     """Indices within distance r of the center (the center always included)."""
     a = validate_dissimilarity(a)
     n = a.shape[0]
+    if isinstance(center, bool) or not isinstance(center, (int, np.integer)):
+        raise ValidationError(f"center must be an integer index, got {center!r}")
     if not 0 <= center < n:
         raise ValidationError(f"center {center} out of range for order {n}")
     _check_radius(r)
@@ -67,13 +69,13 @@ def spheric_clustering(u, r: float) -> Clustering:
     input guarantees this relation is transitive, so anything else is
     rejected.
     """
-    u = validate_dissimilarity(u)
-    if not is_ultrametric(u):
+    if not is_ultrametric(u):  # validates u too
         raise NotUltrametricError(
             "spheric clustering requires an ultrametric matrix; "
             "apply subdominant() first"
         )
     _check_radius(r)
+    u = np.asarray(u, dtype=float)
     # u <= r is an equivalence relation: label each point by its cluster's
     # smallest member, then number clusters in order of that member
     first = np.argmax(u <= r, axis=1)
@@ -89,7 +91,11 @@ def is_perfect_clustering(a, c: Clustering) -> bool:
     """
     a = validate_dissimilarity(a)
     n = a.shape[0]
-    assignment = np.asarray(c.assignment, dtype=int)
+    raw = np.asarray(c.assignment)
+    # checked before the cast, which would truncate 2.5 to 2 and warn on NaN
+    if raw.dtype.kind == "f" and not np.all(np.isfinite(raw) & (raw == np.floor(raw))):
+        raise ValidationError("cluster ids must be integers")
+    assignment = raw.astype(int)
     if assignment.shape != (n,):
         raise ValidationError(
             f"assignment length {assignment.shape} does not match order {n}"
@@ -136,9 +142,8 @@ def _local_maxima(counts: np.ndarray) -> np.ndarray:
 def _valleys_between(counts: np.ndarray, peaks: np.ndarray) -> np.ndarray:
     valleys = []
     for p, q in zip(peaks[:-1], peaks[1:]):
-        inside = np.arange(p + 1, q)
-        if inside.size:
-            valleys.append(inside[np.argmin(counts[inside])])
+        inside = np.arange(p + 1, q)  # nonempty: strict maxima are never adjacent
+        valleys.append(inside[np.argmin(counts[inside])])
     return np.asarray(valleys, dtype=int)
 
 
@@ -161,37 +166,30 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
             raise ValidationError("bins only apply to binned mode")
         values, counts = np.unique(finite, return_counts=True)
         peaks = np.arange(values.size, dtype=int)
-        return DistanceHistogram(
-            mode="distinct",
-            values=values,
-            counts=counts.astype(int),
-            peaks=peaks,
-            valleys=np.array([], dtype=int),
-            overflow=overflow,
-        )
-    if mode != "binned":
-        raise ValidationError(f"unknown histogram mode {mode!r}")
-
-    if bins is None:
-        bins = max(1, math.ceil(math.sqrt(max(vals.size, 1))))
-    if bins < 1:
-        raise ValidationError(f"bins must be positive, got {bins}")
-    need = 16 * int(bins) + 8  # float64 edges, int64 counts
-    _check_memory(need, f"{bins} bins need {need / 2**20:.1f} MiB of edges and counts")
-    if finite.size == 0:
-        edges = np.linspace(0.0, 1.0, bins + 1)
-        counts = np.zeros(bins, dtype=int)
+        valleys = np.array([], dtype=int)
+    elif mode == "binned":
+        if bins is None:
+            bins = max(1, math.ceil(math.sqrt(max(vals.size, 1))))
+        if bins < 1:
+            raise ValidationError(f"bins must be positive, got {bins}")
+        need = 16 * int(bins) + 8  # float64 edges, int64 counts
+        _check_memory(need, f"{bins} bins need {need / 2**20:.1f} MiB of edges and counts")
+        if finite.size == 0:
+            values = np.linspace(0.0, 1.0, bins + 1)
+            counts = np.zeros(bins, dtype=int)
+        else:
+            lo, hi = float(finite.min()), float(finite.max())
+            if lo == hi:
+                hi = lo + 1.0  # single distinct value: one occupied bin
+            values = np.linspace(lo, hi, bins + 1)
+            counts, _ = np.histogram(finite, bins=values)
+        peaks = _local_maxima(counts)
+        valleys = _valleys_between(counts, peaks)
     else:
-        lo, hi = float(finite.min()), float(finite.max())
-        if lo == hi:
-            hi = lo + 1.0  # single distinct value: one occupied bin
-        edges = np.linspace(lo, hi, bins + 1)
-        counts, _ = np.histogram(finite, bins=edges)
-    peaks = _local_maxima(counts)
-    valleys = _valleys_between(counts, peaks)
+        raise ValidationError(f"unknown histogram mode {mode!r}")
     return DistanceHistogram(
-        mode="binned",
-        values=edges,
+        mode=mode,
+        values=values,
         counts=counts.astype(int),
         peaks=peaks,
         valleys=valleys,
@@ -221,15 +219,14 @@ def radii_from_valleys(h: DistanceHistogram, k: int) -> tuple[list[float], bool]
     """
     if k < 1:
         raise ValidationError(f"k must be positive, got {k}")
+    mids = (h.values[:-1] + h.values[1:]) / 2.0
     if h.mode == "distinct":
         if h.values.size < 2:
             return [], True
         gaps = np.diff(h.values)
-        mids = (h.values[:-1] + h.values[1:]) / 2.0
         order = np.argsort(gaps, kind="stable")[::-1]
         chosen = mids[order[:k]]
     else:
-        mids = (h.values[:-1] + h.values[1:]) / 2.0
         positions = np.sort(mids[h.valleys])[::-1]
         chosen = positions[:k]
     shortfall = chosen.size < k

@@ -69,12 +69,15 @@ def validate_dissimilarity(a) -> np.ndarray:
         i = int(np.nonzero(diag != 0.0)[0][0])
         raise ValidationError(f"nonzero diagonal entry at ({i}, {i}): {diag[i]}")
     if not np.array_equal(a, a.T):
-        i, j = np.argwhere(a != a.T)[0]
-        raise ValidationError(
-            f"asymmetric entries at ({i}, {j}): {a[i, j]} vs {a[j, i]}"
-        )
-    off = ~np.eye(n, dtype=bool)
-    bad = off & ~(a > 0.0)
+        # a NaN pair is symmetric; the positivity check below rejects it
+        odd = np.argwhere((a != a.T) & ~(np.isnan(a) & np.isnan(a.T)))
+        if odd.size:
+            i, j = odd[0]
+            raise ValidationError(
+                f"asymmetric entries at ({i}, {j}): {a[i, j]} vs {a[j, i]}"
+            )
+    bad = ~(a > 0.0)
+    np.fill_diagonal(bad, False)
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise ValidationError(

@@ -190,6 +190,41 @@ class TestHistogram:
         assert len(capsys.readouterr().out.splitlines()) == 200000
 
 
+class TestGoldenBytes:
+    """Exact stdout bytes, separators and final newline included."""
+
+    @pytest.mark.parametrize("matrix, argv, expected", [
+        ("ex1_csv", ["cluster", "--radius", "auto"], "0,0\n1,0\n2,0\n3,0\n4,0\n5,1\n6,1\n7,1\n"),
+        ("ex1_csv", ["cluster", "--radius", "5"], "0,0\n1,0\n2,0\n3,1\n4,2\n5,3\n6,3\n7,3\n"),
+        ("ex1_csv", ["histogram"], "4,6\n6,1\n10,6\n16,15\n"),
+        ("ex1_csv", ["histogram", "--mode", "binned", "--bins", "3"], "6,7\n10,6\n14,15\n"),
+        ("ex1_csv", ["histogram", "--stage", "trace"], "1,4,6\n1,6,1\n1,10,6\n1,16,15\n"),
+        ("ex1_csv", ["histogram", "--stage", "trace", "--mode", "binned", "--bins", "2"],
+         "1,7,7\n1,13,21\n"),
+        ("three_csv", ["cluster", "--radius", "auto"], "0,0\n1,0\n2,1\n"),
+        ("three_csv", ["cluster", "--radius", "5"], "0,0\n1,0\n2,0\n"),
+        ("three_csv", ["histogram"], "1,1\n2,1\n3,1\n"),
+        ("three_csv", ["histogram", "--mode", "binned", "--bins", "3"],
+         "1.3333333333333333,1\n1.9999999999999998,1\n2.6666666666666665,1\n"),
+        ("three_csv", ["histogram", "--stage", "trace"], "1,1,1\n1,2,1\n1,3,1\n2,1,1\n2,2,2\n"),
+        ("three_csv", ["histogram", "--stage", "trace", "--mode", "binned", "--bins", "2"],
+         "1,1.5,1\n1,2.5,2\n2,1.25,1\n2,1.75,2\n"),
+    ], ids=[f"{m}-{c}" for m in ("ex1", "three") for c in (
+        "cluster-auto", "cluster-5", "distinct", "binned-3", "trace", "trace-binned-2")])
+    def test_stdout(self, matrix, argv, expected, request, capsys):
+        path = request.getfixturevalue(matrix)
+        assert main([argv[0], "--input", path, *argv[1:]]) == EXIT_OK
+        assert capsys.readouterr().out == expected
+
+    def test_empty_histogram_writes_nothing(self, tmp_path, capsys):
+        path, out = tmp_path / "one.csv", tmp_path / "hist.csv"
+        path.write_text("0\n")
+        assert main(["histogram", "--input", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out == ""
+        assert main(["histogram", "--input", str(path), "--output", str(out)]) == EXIT_OK
+        assert out.read_bytes() == b""
+
+
 class TestProductCounts:
     """Only ``cluster`` needs a min-max product: the one ultrametric check."""
 

@@ -40,6 +40,15 @@ class TestClosedSphere:
         with pytest.raises(ValidationError):
             closed_sphere(EX1, 8, 1)
 
+    @pytest.mark.parametrize("center", [True, False, 1.0, np.float64(2.0), np.bool_(True)])
+    def test_non_integer_center_rejected(self, center):
+        # numpy would read a bool as a mask and a float as a bad index
+        with pytest.raises(ValidationError, match="center must be an integer index"):
+            closed_sphere(EX1, center, 4)
+
+    def test_numpy_integer_center(self):
+        assert closed_sphere(EX1, np.int64(3), 6) == {3, 4}
+
     def test_nan_radius_rejected(self):
         with pytest.raises(ValidationError, match="nan"):
             closed_sphere(EX1, 0, float("nan"))
@@ -119,6 +128,17 @@ class TestPerfectClustering:
             is_perfect_clustering(EX1, Clustering(n=8, assignment=np.array([0, 2] * 4)))
         with pytest.raises(ValidationError):
             is_perfect_clustering(EX1, Clustering(n=8, assignment=np.zeros(3, int)))
+
+    @pytest.mark.parametrize("last", [2.5, np.nan, np.inf])
+    def test_non_integer_ids_rejected(self, last):
+        # a cast to int would read 2.5 as 2 and call this clustering perfect
+        c = Clustering(n=8, assignment=np.array([0, 0, 0, 1, 1, 2, 2, last]))
+        with pytest.raises(ValidationError, match="cluster ids must be integers"):
+            is_perfect_clustering(EX1, c)
+
+    def test_integral_float_ids_accepted(self):
+        c = Clustering(n=8, assignment=np.array([0, 0, 0, 1, 1, 2, 2, 2.0]))
+        assert is_perfect_clustering(EX1, c)
 
 
 class TestDistanceHistogram:

@@ -230,6 +230,8 @@ class TestCsvRoundTrip:
             ("0,1\n2,0\n", "asymmetric"),
             ("1,2\n2,0\n", "diagonal"),
             ("0,-1\n-1,0\n", "negative"),
+            ("0,nan\nnan,0\n", r"\(0, 1\) must be positive, got nan"),
+            ("0,nan\n1,0\n", r"asymmetric entries at \(0, 1\): nan vs 1.0"),
             ("0,1\n1,0,3\n", "row 1"),
             ("0,1\n1,0,3\n1,x\n", "row 2, column 1: cannot parse 'x'"),
             ("0,x\nx,0\n", "row 0"),

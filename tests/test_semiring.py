@@ -280,6 +280,16 @@ class TestStabilize:
             stabilize(A3, strategy="quadratic")
 
 
+@pytest.mark.parametrize("f", [validate_dissimilarity, stabilize, subdominant])
+def test_symmetric_nan_pair_is_not_positive(f):
+    a = np.array([[0, np.nan, 1], [np.nan, 0, 2], [1, 2, 0]])
+    with pytest.raises(ValidationError, match=r"^off-diagonal entry at \(0, 1\) must be positive, got nan$"):
+        f(a)
+    a[1, 0] = 3.0
+    with pytest.raises(ValidationError, match=r"^asymmetric entries at \(0, 1\): nan vs 3.0$"):
+        f(a)
+
+
 def test_validate_returns_float_array():
     out = validate_dissimilarity([[0, 1], [1, 0]])
     assert out.dtype == np.float64
