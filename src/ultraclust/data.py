@@ -2,11 +2,14 @@
 
 The matrix CSV interchange format is n rows of n comma-separated numbers
 with no header; infinity is spelled ``inf``.  Point CSVs hold one point per
-row and may start with a ``# dim=<d>`` comment.
+row and may start with a ``# dim=<d>`` comment.  Files are UTF-8 text, and
+a path ending in ``.gz`` is gzip-compressed, both when ``np.savetxt`` writes
+it and when the loaders read it.
 """
 
 from __future__ import annotations
 
+import gzip
 import math
 import os
 from dataclasses import dataclass
@@ -196,10 +199,25 @@ def _parse_rows(path, fh, what: str, unit: str, comments: bool = False) -> np.nd
     raise ValidationError(f"{path}: row {i} has {widths[i]} {unit}, expected {widths[0]}")
 
 
+def _read_rows(path, what: str, unit: str, comments: bool = False) -> np.ndarray:
+    """``_parse_rows`` of a CSV file read as UTF-8, through gzip if its name ends in ``.gz``.
+
+    The suffix rule is ``np.savetxt``'s, so a table written to such a path
+    reads back; bytes that are not UTF-8 or not gzip raise ``ValidationError``.
+    """
+    zipped = os.path.splitext(path)[1] == ".gz"
+    try:
+        with (gzip.open if zipped else open)(path, "rt", encoding="utf-8") as fh:
+            return _parse_rows(path, fh, what, unit, comments)
+    except UnicodeDecodeError:
+        raise ValidationError(f"{path}: not UTF-8 text") from None
+    except (gzip.BadGzipFile, EOFError) as exc:
+        raise ValidationError(f"{path}: not a gzip file ({exc})") from None
+
+
 def load_matrix_csv(path) -> np.ndarray:
     """Load and validate a dissimilarity matrix from CSV."""
-    with open(path) as fh:
-        a = _parse_rows(path, fh, "matrix", "entries")
+    a = _read_rows(path, "matrix", "entries")
     if np.any(a < 0):
         i, j = np.argwhere(a < 0)[0]
         raise ValidationError(f"{path}: negative entry at row {i}, column {j}")
@@ -217,8 +235,7 @@ def save_matrix_csv(matrix, path) -> None:
 
 def load_points_csv(path) -> np.ndarray:
     """Load an (n, dim) point set from CSV; '#'-prefixed lines are comments."""
-    with open(path) as fh:
-        return _parse_rows(path, fh, "points", "coordinates", comments=True)
+    return _read_rows(path, "points", "coordinates", comments=True)
 
 
 def save_points_csv(points, path) -> None:

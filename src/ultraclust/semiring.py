@@ -10,12 +10,15 @@ The product
 never creates values that are not already present in its operands, so all
 equality tests in this module are exact (no tolerances anywhere).  Codes
 with few distinct values multiply as one 0/1 float32 matrix product per
-value (BLAS ``sgemm``), whose zero pattern is exact; all other operands go
-through a blocked broadcast kernel.  A product by the operand's own
-transpose, such as every squaring of a symmetric power, computes one
-triangle of its symmetric result and mirrors it.  The spanning-forest sweep
-:func:`minimax_oracle` lives here too, because :func:`stabilize` codes the
-powers by the distinct values of its result.
+value (BLAS ``sgemm``), whose zero pattern is exact.  When few entries of
+the left operand lie below ``top``, the largest entry of both operands, a
+row-sparse kernel multiplies only those: a term max(a[i,k], b[k,j]) with
+a[i,k] == top is never below another term.  All other operands go through
+a blocked broadcast kernel.  A product by the operand's own transpose, such
+as every squaring of a symmetric power, computes one triangle of its
+symmetric result and mirrors it.  The spanning-forest sweep
+behind :func:`minimax_oracle` lives here too, because :func:`stabilize` codes
+the powers by the distinct values of its result, the forest's edge weights.
 """
 
 from __future__ import annotations
@@ -49,6 +52,14 @@ _FEW_LEVELS = 6
 # bytes of one float32 0/1 tile of an operand: up to n = 724 no operand is
 # split, and larger orders keep a few MiB of temporaries
 _TILE_BYTES = 2 << 20
+# one element-op of the row-sparse kernel (a gather, a max and a min) costs
+# about this many of the broadcast kernel's.  Random codes under top 600,
+# median of 7, 2-core machine, one thread: the sparse kernel broke even with
+# the dense triangle at about 28% of the entries below top (uint16, n = 300
+# and 600; above 28% on uint8 and 32% on float64), and with the general
+# product at about 52% (uint16, n = 300 and 600).  A cost of 2 takes it
+# below 25% (triangle) and 50% (general)
+_SPARSE_COST = 2
 
 
 def validate_dissimilarity(a) -> np.ndarray:
@@ -109,6 +120,23 @@ def minmax_product(a, b) -> np.ndarray:
     and at least 1 otherwise, so rounding never flips the test and the
     result is exact for any order.
 
+    Other operands take the row-sparse path when few entries of ``a`` lie
+    below ``top``, now the largest entry of both operands.  A term
+    max(a[i,k], b[k,j]) with a[i,k] == top equals top, and no term exceeds
+    top, so C[i,j] is the min over the entries of row i below top, or top
+    when the row has none.  Deleting terms equal to top changes no value,
+    and without -0.0 equal values have equal bytes, so the result is the
+    broadcast kernel's, byte for byte.  Each row's (column, value) pairs
+    are packed and padded with top, rows of similar width share a block,
+    and the block's (rows, width, p) gather of ``b`` takes about
+    ``_BLOCK_BYTES``.  With w_i entries below top in row i the path costs
+    sum(w_i)·p element-ops against R·n·p for the broadcast kernel, R·n·p/2
+    for a squaring, and it is taken when it costs ``_SPARSE_COST`` times
+    less.  A NaN ``top`` equals no entry and so skips nothing.  Float
+    operands with a sign bit set (negative values or -0.0) stay on the
+    broadcast kernel: -0.0 == 0.0, so which zero a min returns depends on
+    the order of its terms.
+
     A squaring of a symmetric power has ``b`` equal to ``a``'s transpose,
     which is tested exactly, in O(R·n) for R x n operands against the
     product's O(R^2·n).  Then C[i,j] = min_k max(a[i,k], a[j,k]) = C[j,i],
@@ -128,10 +156,15 @@ def minmax_product(a, b) -> np.ndarray:
             f"dimension mismatch: {a.shape} cannot multiply {b.shape}"
         )
     symmetric = a.shape == b.shape[::-1] and np.array_equal(a, b.T)
-    if a.dtype.kind == "u" and a.size and b.size:
-        top = int(max(a.max(), b.max()))
-        if top <= _FEW_LEVELS:
-            return _threshold_product(a, b, top, symmetric)
+    if a.size and b.size:
+        top = np.maximum(a.max(), b.max())  # NaN if either operand holds one
+        if a.dtype.kind == "u" and top <= _FEW_LEVELS:
+            return _threshold_product(a, b, int(top), symmetric)
+        widths = np.count_nonzero(a != top, axis=1)
+        if _SPARSE_COST * (1 + symmetric) * widths.sum() < a.size and (
+            a.dtype.kind == "u" or not (np.signbit(a).any() or np.signbit(b).any())
+        ):
+            return _sparse_product(a, b, top, widths)
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     block = max(1, _BLOCK_BYTES // max(b.nbytes, 1))
     for s in range(0, a.shape[0], block):
@@ -144,6 +177,38 @@ def minmax_product(a, b) -> np.ndarray:
         else:
             # (rows, n, p) broadcast, reduced over the shared axis
             out[s:e] = np.maximum(a[s:e, :, None], b[None, :, :]).min(axis=1)
+    return out
+
+
+def _sparse_product(a: np.ndarray, b: np.ndarray, top, widths: np.ndarray) -> np.ndarray:
+    """Min-max product over the ``widths[i]`` entries of each row of ``a`` below ``top``.
+
+    Rows are taken widest first; a block of them is packed into (rows, w)
+    columns and values, padded with column 0 and value ``top``, where w is
+    the width of its first, widest row.  Rows with no entry below ``top``
+    stay ``top``.
+    """
+    n, p = a.shape[1], b.shape[1]
+    out = np.full((a.shape[0], p), top, dtype=a.dtype)
+    order = np.argsort(-widths, kind="stable")[: np.count_nonzero(widths)]
+    s = 0
+    while s < order.size:
+        w = int(widths[order[s]])
+        rows = order[s : s + max(1, _BLOCK_BYTES // (a.itemsize * (n + w * p)))]
+        s += rows.size
+        sub = a[rows]
+        # the entries below top, row by row and in column order, and each
+        # entry's place among those of its row
+        r, k = np.divmod(np.flatnonzero(sub != top), n)
+        place = np.arange(r.size) - (np.cumsum(widths[rows]) - widths[rows])[r]
+        cols = np.zeros((rows.size, w), dtype=np.intp)
+        vals = np.full((rows.size, w), top, dtype=a.dtype)
+        cols[r, place] = k
+        vals[r, place] = sub[r, k]
+        terms = b[cols]  # (rows, w, p): row cols[i, t] of b
+        np.maximum(vals[:, :, None], terms, out=terms)
+        out[rows] = terms.min(axis=1)
+        del terms  # freed before the next block's gather
     return out
 
 
@@ -288,51 +353,76 @@ def _differing_rows(x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarra
     return live[np.any(x[live] != y[live], axis=1)]
 
 
-def minimax_oracle(weights) -> np.ndarray:
-    """All-pairs minimax path weights of a symmetric weighted graph.
+def _prim_forest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Dense Prim sweep of a symmetric weight matrix: a minimum spanning forest.
 
-    For each pair the minimum over connecting paths of the largest edge
-    weight; ``inf`` between disconnected components; non-finite weights are
-    not edges.  A dense Prim sweep grows a minimum spanning forest in O(n^2)
-    and fills the result as it goes: a vertex v that joins through the edge
-    (via[v], v) of weight best[v] gets max(best[v], A*[via[v], u]) to every
-    vertex u already in the forest, and ``inf`` if it starts a new tree.
+    Returns ``order``, the vertices in the order they join, and for each
+    vertex v the forest vertex ``via[v]`` it joins through and the weight
+    ``best[v]`` of that edge; a vertex that starts a new tree has via -1 and
+    best ``inf``.  Non-finite weights are not edges.  O(n^2).
     """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"expected a square weight matrix, got {w.shape}")
-    if not np.array_equal(w, w.T):
-        raise ValidationError("weight matrix must be symmetric")
     n = w.shape[0]
-
     # best[v]: lightest edge from the forest grown so far to v, via[v] its end
     best = np.full(n, np.inf)
     via = np.full(n, -1)
     outside = np.ones(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)  # vertices in the order they join
-    out = np.full((n, n), np.inf)
-    # -inf until the end, so that v's entry at via[v] is best[v] even if negative
-    np.fill_diagonal(out, -np.inf)
+    order = np.empty(n, dtype=np.intp)
     for k in range(n):
         rest = np.flatnonzero(outside)
         # with no finite edge into the rest, argmin picks its first vertex: a new tree
         v = int(rest[np.argmin(best[rest])])
-        if via[v] >= 0:
-            # every forest path from v to an earlier vertex starts with (v, via[v])
-            done = order[:k]
-            out[v, done] = out[done, v] = np.maximum(best[v], out[via[v], done])
         order[k] = v
         outside[v] = False
         row = w[v]
         closer = outside & np.isfinite(row) & (row < best)
         best[closer] = row[closer]
         via[closer] = v
+    return order, via, best
+
+
+def minimax_oracle(weights) -> np.ndarray:
+    """All-pairs minimax path weights of a symmetric weighted graph.
+
+    For each pair the minimum over connecting paths of the largest edge
+    weight; ``inf`` between disconnected components; non-finite weights are
+    not edges.  A dense Prim sweep grows a minimum spanning forest in O(n^2),
+    and the result is filled in the order the vertices joined: a vertex v
+    that joins through the edge (via[v], v) of weight best[v] gets
+    max(best[v], A*[via[v], u]) to every vertex u that joined before it, and
+    ``inf`` if it starts a new tree.
+    """
+    w = np.asarray(weights, dtype=float)
+    if w.ndim != 2 or w.shape[0] != w.shape[1]:
+        raise ValidationError(f"expected a square weight matrix, got {w.shape}")
+    if not np.array_equal(w, w.T):
+        raise ValidationError("weight matrix must be symmetric")
+    order, via, best = _prim_forest(w)
+    out = np.full(w.shape, np.inf)
+    # -inf until the end, so that v's entry at via[v] is best[v] even if negative
+    np.fill_diagonal(out, -np.inf)
+    for k, v in enumerate(order):
+        if via[v] >= 0:
+            # every forest path from v to an earlier vertex starts with (v, via[v])
+            done = order[:k]
+            out[v, done] = out[done, v] = np.maximum(best[v], out[via[v], done])
     np.fill_diagonal(out, 0.0)
     return out
 
 
+def _star_levels(a: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of A* = ``minimax_oracle(a)``, without filling it.
+
+    They are 0 (the diagonal), the weights of the spanning forest's edges
+    (each joins its two ends, no lighter path does) and ``inf`` when the
+    forest has more than one tree.
+    """
+    _, via, best = _prim_forest(a)
+    apart = [np.inf] if np.count_nonzero(via < 0) > 1 else []
+    return np.unique(np.concatenate(([0.0], best[via >= 0], apart)))
+
+
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:
-    levels = np.unique(minimax_oracle(a))
+    levels = _star_levels(a)
     codes = _level_codes(a, levels)
     # sqs[t] = A^(2^t); square until a squaring changes nothing, so that
     # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  live: the
@@ -366,11 +456,11 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     ``linear`` multiplies floats by A until nothing changes.  ``doubling``
     makes 2*ceil(log2 m) products (one when m = 1): it squares until a
     squaring changes nothing, then finds m by binary lifting.  It multiplies
-    level codes: entry v becomes the number of distinct values of A* (from
-    the spanning-forest sweep) below v, as uint8 for fewer than 256 values
-    and uint16 up to 65535.  That map is non-decreasing, so it commutes with
-    min and max; and A^k >= A* entrywise, so A^k == A* exactly when their
-    codes are equal.  The code chain thus has the same m, and its fixpoint
+    level codes: entry v becomes the number of distinct values of A* (0, the
+    spanning forest's edge weights, and inf between trees) below v, as uint8
+    for fewer than 256 values and uint16 up to 65535.  That map is
+    non-decreasing, so it commutes with min and max; and A^k >= A*
+    entrywise, so A^k == A* exactly when their codes are equal.  The code chain thus has the same m, and its fixpoint
     decodes to A*.  The stop rule compares powers with each other, never
     with the sweep.  Both strategies return identical results.
 

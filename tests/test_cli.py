@@ -321,6 +321,37 @@ class TestGenerate:
         assert len(capsys.readouterr().out.splitlines()) == 40000
 
 
+class TestInputFiles:
+    def test_non_utf8_input_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.csv"
+        path.write_bytes(b"0,1\n1,\xff\n")
+        for argv in (["analyze"], ["cluster"], ["analyze", "--kind", "points"]):
+            assert main([*argv, "--input", str(path)]) == EXIT_VALIDATION
+            captured = capsys.readouterr()
+            assert captured.err == f"error: {path}: not UTF-8 text\n" and captured.out == ""
+
+    @pytest.mark.parametrize("command", ["ultrametric", "generate"])
+    def test_gzip_output_reads_back(self, command, three_csv, tmp_path, capsys):
+        # np.savetxt gzips an --output path ending in .gz; the readers gunzip it
+        make = {"ultrametric": ["ultrametric", "--input", three_csv],
+                "generate": ["generate", "--grid", "2x2", "--cluster", "2x3"]}[command]
+        kind = "points" if command == "generate" else "matrix"
+        outs = []
+        for name in ("out.csv", "out.csv.gz"):
+            path = tmp_path / name
+            assert main([*make, "--output", str(path)]) == EXIT_OK
+            assert main(["cluster", "--input", str(path), "--kind", kind]) == EXIT_OK
+            outs.append(capsys.readouterr().out)
+        assert (tmp_path / "out.csv.gz").read_bytes()[:2] == b"\x1f\x8b"
+        assert outs[0] and outs[1] == outs[0]
+
+    def test_corrupt_gzip_input_is_validation_error(self, tmp_path, capsys):
+        path = tmp_path / "m.csv.gz"
+        path.write_bytes(b"0,1\n1,0\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {path}: not a gzip file")
+
+
 class TestUsageErrors:
     def test_strategy_flag_removed(self, ex1_csv):
         with pytest.raises(SystemExit) as exc:

@@ -3,7 +3,8 @@ agree with the float chain, both strategies' m is the largest hop count of a
 minimax path, the facts by which doubling settles rows hold
 on the float powers, few-level codes multiply as the broadcast kernel
 multiplies their float copies, a product by the transpose matches the
-naive product, the power chain falls to A*, spheric
+naive product on every kernel, the levels that code the powers are the
+values of A*, the power chain falls to A*, spheric
 clusterings nest, and CSV files read back exactly what was written."""
 
 import math
@@ -93,6 +94,16 @@ def two_components(n):
     return a
 
 
+@settings(max_examples=200, deadline=None)
+@given(small_dissims())
+@example(np.zeros((1, 1)))  # one point, one tree
+@example(symmetric(4, [INF] * 6))  # four trees
+@example(two_components(5))  # two trees
+@example(tree_dissim(40, 3, True))  # an isolated point
+def test_levels_are_the_distinct_values_of_the_fixpoint(a):
+    assert semiring._star_levels(a).tobytes() == np.unique(minimax_oracle(a)).tobytes()
+
+
 def assert_strategies_agree(a):
     lin, dbl = stabilize(a, "linear"), stabilize(a, "doubling")
     assert dbl.m == lin.m
@@ -146,14 +157,21 @@ def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated):
     assert_strategies_agree(a)
 
 
+def naive(a, b):
+    """The min-max product as one broadcast, the oracle of every kernel."""
+    return np.maximum(a[:, :, None], b[None]).min(axis=1)
+
+
 @st.composite
 def code_operands(draw):
-    """An R x n and an n x P array of codes 0..top, in one unsigned dtype."""
+    """An R x n and an n x P array of codes 0..top, in one unsigned dtype; maybe mostly top."""
     dtype = draw(st.sampled_from([np.uint8, np.uint16]))
     top = draw(st.integers(0, semiring._FEW_LEVELS + 2))
     r, n, p = (draw(st.integers(1, 12)) for _ in range(3))
     codes = st.integers(0, top)
-    return draw(arrays(dtype, (r, n), elements=codes)), draw(arrays(dtype, (n, p), elements=codes))
+    fill = draw(st.sampled_from([None, st.just(top)]))
+    return (draw(arrays(dtype, (r, n), elements=codes, fill=fill)),
+            draw(arrays(dtype, (n, p), elements=codes, fill=fill)))
 
 
 def staircase(r, n, p, top, dtype=np.uint8):
@@ -163,6 +181,34 @@ def staircase(r, n, p, top, dtype=np.uint8):
     ).astype(dtype)
 
 
+def banded(n, top, dtype=np.uint16):
+    """Symmetric codes at ``top`` but for a band below it.
+
+    Row 0 has no entry below top, row 1 one (its zero diagonal), and the
+    later rows their diagonal and their neighbours from row 2 on.
+    """
+    a = np.full((n, n), top, dtype)
+    i = np.arange(1, n)
+    a[i, i] = 0
+    j = np.arange(2, n - 1)
+    a[j, j + 1] = a[j + 1, j] = (7 * j) % top
+    return a
+
+
+def live_block(p, q, live):
+    """The operands of ``_live_product(p, q, live)``'s rectangular product."""
+    return p[live], q[:, live]
+
+
+def with_inf_top(a):
+    """Float copy of codes, with ``inf`` for the top code."""
+    return np.where(a == a.max(), INF, a.astype(float))
+
+
+BAND = banded(12, 40)
+LIVE = [1, 2, 5, 6, 11]
+
+
 @settings(max_examples=300, deadline=None)
 @given(code_operands(), st.integers(1, 5))
 @example(staircase(1, 1, 1, 0), 1)
@@ -170,6 +216,10 @@ def staircase(r, n, p, top, dtype=np.uint8):
 @example(staircase(11, 9, 1, semiring._FEW_LEVELS, np.uint16), 4)
 @example(staircase(10, 13, 7, semiring._FEW_LEVELS), 3)  # 10 and 7 rows in tiles of 3
 @example(staircase(10, 13, 7, semiring._FEW_LEVELS + 1), 3)
+# mostly top: rows of width 0 and 1 take the row-sparse path
+@example((BAND, BAND[:, ::-1].copy()), 2)
+@example((banded(9, 200, np.uint8), banded(9, 200, np.uint8)[::-1].copy()), 2)
+@example(live_block(BAND, minmax_product(BAND, BAND), LIVE), 1)  # a lifting block
 def test_few_level_codes_match_the_float_product(operands, tile):
     a, b = operands
     top = int(max(a.max(), b.max()))
@@ -186,6 +236,7 @@ def test_few_level_codes_match_the_float_product(operands, tile):
     assert taken == ([top] if top <= semiring._FEW_LEVELS else [])
     assert c.dtype == a.dtype
     assert np.array_equal(c, minmax_product(a.astype(float), b.astype(float)))
+    assert c.tobytes() == naive(a, b).tobytes()
 
 
 def with_transpose(a):
@@ -194,16 +245,21 @@ def with_transpose(a):
 
 @st.composite
 def transposed_operands(draw):
-    """An R x n operand and its transpose: uint8 codes 0..top, uint16 codes or floats with inf."""
+    """An R x n operand and its transpose: uint8 codes 0..top, uint16 codes or
+    floats with inf; maybe mostly at the largest value."""
     dtype = draw(st.sampled_from([np.uint8, np.uint16, np.float64]))
     if dtype is np.uint8:
-        elements = st.integers(0, draw(st.integers(0, semiring._FEW_LEVELS + 2)))
+        top = draw(st.integers(0, semiring._FEW_LEVELS + 2))
+        elements = st.integers(0, top)
     elif dtype is np.uint16:
-        elements = st.integers(0, 2**16 - 1)
+        top = 2**16 - 1
+        elements = st.integers(0, top)
     else:
+        top = INF
         elements = st.one_of(st.just(INF), st.floats(0.25, 64.0))
     shape = (draw(st.integers(1, 12)), draw(st.integers(1, 12)))
-    return with_transpose(draw(arrays(dtype, shape, elements=elements)))
+    fill = draw(st.sampled_from([None, st.just(top)]))
+    return with_transpose(draw(arrays(dtype, shape, elements=elements, fill=fill)))
 
 
 def near_miss(r, n, top, dtype=np.uint8):
@@ -214,21 +270,42 @@ def near_miss(r, n, top, dtype=np.uint8):
 
 
 @settings(max_examples=300, deadline=None)
-@given(transposed_operands(), st.integers(1, 4))
-@example(with_transpose(np.zeros((1, 1), np.uint8)), 1)
-@example(with_transpose(staircase(10, 13, 1, 3)[0]), 3)  # 0/1 tiles of 3 rows
-@example(with_transpose(staircase(10, 13, 1, 40, np.uint16)[0]), 3)  # broadcast blocks
-@example(with_transpose(np.array([[INF, 1.0, 2.0], [2.0, INF, 0.5]])), 1)
-@example(near_miss(10, 13, 3), 3)
-@example(near_miss(10, 13, 40, np.uint16), 3)
-def test_products_by_the_transpose_match_the_naive_product(operands, rows):
+@given(transposed_operands(), st.integers(1, 4), st.booleans())
+@example(with_transpose(np.zeros((1, 1), np.uint8)), 1, False)
+@example(with_transpose(staircase(10, 13, 1, 3)[0]), 3, False)  # 0/1 tiles of 3 rows
+@example(with_transpose(staircase(10, 13, 1, 40, np.uint16)[0]), 3, False)  # broadcast blocks
+@example(with_transpose(staircase(10, 13, 1, 40, np.uint16)[0]), 3, True)  # sparse, no top row
+@example(with_transpose(np.array([[INF, 1.0, 2.0], [2.0, INF, 0.5]])), 1, False)
+@example(near_miss(10, 13, 3), 3, False)
+@example(near_miss(10, 13, 40, np.uint16), 3, False)
+# rows of width 0 and 1, a squaring's live block, inf holes over +0.0
+@example(with_transpose(BAND), 2, True)
+@example(live_block(BAND, BAND, LIVE), 1, True)
+@example(with_transpose(with_inf_top(BAND)), 2, True)
+# NaN is no top: nothing is skipped; -0.0 keeps the operands on the broadcast kernel
+@example(with_transpose(np.array([[np.nan, 1.0, INF], [INF, INF, 2.0]])), 1, True)
+@example((np.array([[-0.0, 0.0, INF], [0.0, INF, -0.0]]), np.array([[0.0, -0.0], [INF, 1.0], [-0.0, 0.0]])), 1, True)
+def test_products_by_the_transpose_match_the_naive_product(operands, rows, sparse):
     a, b = operands
-    # tiles and broadcast blocks of ``rows`` rows, so that small shapes split too
+    # tiles and broadcast blocks of ``rows`` rows, so that small shapes split
+    # too; with ``sparse`` every operand allowed the row-sparse path takes it
+    taken = []
+
+    def recorded(x, y, top, widths, _orig=semiring._sparse_product):
+        taken.append(widths)
+        return _orig(x, y, top, widths)
+
+    cost = 0 if sparse else semiring._SPARSE_COST
     with mock.patch.object(semiring, "_TILE_BYTES", 4 * a.shape[1] * rows), \
-            mock.patch.object(semiring, "_BLOCK_BYTES", rows * a.nbytes):
+            mock.patch.object(semiring, "_BLOCK_BYTES", rows * a.nbytes), \
+            mock.patch.object(semiring, "_SPARSE_COST", cost), \
+            mock.patch.object(semiring, "_sparse_product", recorded):
         c = minmax_product(a, b)
     assert c.dtype == a.dtype
-    assert np.array_equal(c, np.maximum(a[:, :, None], b[None]).min(axis=1))
+    assert c.tobytes() == naive(a, b).tobytes()
+    few = a.dtype.kind == "u" and max(a.max(), b.max()) <= semiring._FEW_LEVELS
+    if sparse and not few:
+        assert len(taken) == (not (np.signbit(a).any() or np.signbit(b).any()))
 
 
 @settings(max_examples=100, deadline=None)

@@ -85,6 +85,23 @@ class TestProduct:
         assert peak < out.nbytes + 6 * 2**20
         assert np.array_equal(out[:3, :4], brute_product(c[:3], c[:, :4]))
 
+    def test_sparse_codes_stay_in_bounded_memory(self, rng, monkeypatch):
+        # n=2000 codes with at most 19 entries a row below the top code take
+        # the row-sparse path; one gather of all rows at their widest would
+        # take 145 MiB
+        n, top = 2000, 1000
+        c = np.full((n, n), top, np.uint16)
+        i, j = rng.integers(0, n, (2, 4 * n))
+        c[i, j] = c[j, i] = rng.integers(0, top, 4 * n)
+        taken = []
+        kernel = semiring._sparse_product
+        monkeypatch.setattr(semiring, "_sparse_product", lambda *args: taken.append(1) or kernel(*args))
+        for b in (c, c[::-1].copy()):  # a squaring and a general product
+            out, peak = peak_bytes(minmax_product, c, b)
+            assert peak < out.nbytes + 2 * 2**20
+            assert np.array_equal(out[:3, :4], brute_product(c[:3], b[:, :4]))
+        assert taken == [1, 1]
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             minmax_product(np.zeros((2, 3)), np.zeros((2, 3)))
