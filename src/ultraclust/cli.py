@@ -16,6 +16,7 @@ import numpy as np
 from .clustering import distance_histogram, estimate_num_clusters, radii_from_valleys, spheric_clustering
 from .data import (
     LatticeConfig,
+    _save_table_csv,
     lattice_generate,
     load_matrix_csv,
     load_points_csv,
@@ -157,7 +158,7 @@ def cmd_generate(args) -> int:
     if args.output:
         save_points_csv(points, args.output)
     else:  # no "# dim" header on stdout
-        np.savetxt(sys.stdout, points, fmt="%.17g", delimiter=",")
+        _save_table_csv(points, sys.stdout)
     return EXIT_OK
 
 

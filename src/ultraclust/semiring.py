@@ -133,9 +133,11 @@ def minmax_product(a, b) -> np.ndarray:
     sum(w_i)·p element-ops against R·n·p for the broadcast kernel, R·n·p/2
     for a squaring, and it is taken when it costs ``_SPARSE_COST`` times
     less.  A NaN ``top`` equals no entry and so skips nothing.  Float
-    operands with a sign bit set (negative values or -0.0) stay on the
-    broadcast kernel: -0.0 == 0.0, so which zero a min returns depends on
-    the order of its terms.
+    operands with a sign bit set (negative values or -0.0) take neither
+    this path nor the mirrored one below: they stay on the general
+    broadcast kernel, because -0.0 == 0.0, so which zero a min returns
+    depends on the order of its terms, and ``np.array_equal`` takes
+    operands that differ only in the sign of a zero for transposes.
 
     A squaring of a symmetric power has ``b`` equal to ``a``'s transpose,
     which is tested exactly, in O(R·n) for R x n operands against the
@@ -155,15 +157,14 @@ def minmax_product(a, b) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: {a.shape} cannot multiply {b.shape}"
         )
-    symmetric = a.shape == b.shape[::-1] and np.array_equal(a, b.T)
+    signed = a.dtype.kind != "u" and bool(np.signbit(a).any() or np.signbit(b).any())
+    symmetric = not signed and a.shape == b.shape[::-1] and np.array_equal(a, b.T)
     if a.size and b.size:
         top = np.maximum(a.max(), b.max())  # NaN if either operand holds one
         if a.dtype.kind == "u" and top <= _FEW_LEVELS:
             return _threshold_product(a, b, int(top), symmetric)
         widths = np.count_nonzero(a != top, axis=1)
-        if _SPARSE_COST * (1 + symmetric) * widths.sum() < a.size and (
-            a.dtype.kind == "u" or not (np.signbit(a).any() or np.signbit(b).any())
-        ):
+        if _SPARSE_COST * (1 + symmetric) * widths.sum() < a.size and not signed:
             return _sparse_product(a, b, top, widths)
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     block = max(1, _BLOCK_BYTES // max(b.nbytes, 1))
@@ -257,12 +258,18 @@ def matrix_leq(a, b) -> bool:
 
 
 def power(a, k: int) -> np.ndarray:
-    """k-th min-max power by repeated squaring; power(a, 0) is the identity."""
+    """k-th min-max power by repeated squaring; power(a, 0) is the identity.
+
+    A NaN entry raises ``ValidationError``: NaN is no element of the semiring.
+    """
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"power requires a square matrix, got {a.shape}")
     if k < 0:
         raise ValidationError(f"power exponent must be nonnegative, got {k}")
+    if np.isnan(a).any():
+        i, j = np.argwhere(np.isnan(a))[0]
+        raise ValidationError(f"power requires a matrix without NaN, got one at ({i}, {j})")
     if k == 0:
         return identity(a.shape[0])
     result = None

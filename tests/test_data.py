@@ -1,3 +1,4 @@
+import gzip
 import os
 from unittest import mock
 
@@ -263,6 +264,41 @@ class TestCsvRoundTrip:
     )
     def test_points_validation_errors(self, tmp_path, monkeypatch, text, fragment):
         assert_reader_error(monkeypatch, load_points_csv, tmp_path / "bad.csv", text, fragment)
+
+
+class TextSize:
+    """A text stream that keeps only the number of characters written to it."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+class TestTableWriter:
+    def test_matrix_and_points_write_the_bytes_of_savetxt(self, tmp_path, rng):
+        star = subdominant(random_dissim(rng, 40, with_inf=True))
+        pts = rng.uniform(-5, 5, (30, 3))
+        for save, a, header in ((save_matrix_csv, star, ""), (save_points_csv, pts, "dim=3")):
+            for name in ("t.csv", "t.csv.gz"):
+                save(a, tmp_path / name)
+                np.savetxt(tmp_path / f"ref.{name}", a, fmt="%.17g", delimiter=",", header=header)
+                read = gzip.open if name.endswith(".gz") else open
+                with read(tmp_path / name, "rb") as got, read(tmp_path / f"ref.{name}", "rb") as want:
+                    assert got.read() == want.read()
+
+    def test_ultrametric_streams_in_bounded_memory(self, rng):
+        # a uniform A* of n = 2000 holds at most 2001 values, in about 70 MB of text
+        star = subdominant(random_dissim(rng, 2000))
+        sink = TextSize()
+        _, peak = peak_bytes(save_matrix_csv, star, sink)
+        assert sink.chars > 60 * 2**20 and peak < 4 * 2**20
+
+    @pytest.mark.parametrize("shape", [(3, 0), (2, 2, 2)])
+    def test_tables_without_columns_or_of_three_axes_rejected(self, shape):
+        with pytest.raises(ValueError, match="1-D or 2-D table with at least one column"):
+            save_matrix_csv(np.zeros(shape), TextSize())
 
 
 def assert_reader_error(monkeypatch, load, path, text, fragment):

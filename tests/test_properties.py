@@ -5,8 +5,11 @@ on the float powers, few-level codes multiply as the broadcast kernel
 multiplies their float copies, a product by the transpose matches the
 naive product on every kernel, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
-clusterings nest, and CSV files read back exactly what was written."""
+clusterings nest, CSV files read back exactly what was written, and the
+float table writer writes the bytes of ``np.savetxt``."""
 
+import gzip
+import io
 import math
 from unittest import mock
 
@@ -17,6 +20,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
+from ultraclust import data  # noqa: E402
 from ultraclust import (  # noqa: E402
     LatticeConfig,
     is_perfect_clustering,
@@ -285,6 +289,10 @@ def near_miss(r, n, top, dtype=np.uint8):
 # NaN is no top: nothing is skipped; -0.0 keeps the operands on the broadcast kernel
 @example(with_transpose(np.array([[np.nan, 1.0, INF], [INF, INF, 2.0]])), 1, True)
 @example((np.array([[-0.0, 0.0, INF], [0.0, INF, -0.0]]), np.array([[0.0, -0.0], [INF, 1.0], [-0.0, 0.0]])), 1, True)
+# transposes but for the sign of a zero: a mirror of a·aᵀ would give max(-0.0, -0.0) = -0.0
+# where the naive product gives max(-0.0, 0.0) = 0.0
+@example((np.array([[-0.0]]), np.array([[0.0]])), 1, False)
+@example((np.array([[-0.0, 1.0], [0.0, -0.0]]), np.array([[0.0, 0.0], [1.0, 0.0]])), 1, False)
 def test_products_by_the_transpose_match_the_naive_product(operands, rows, sparse):
     a, b = operands
     # tiles and broadcast blocks of ``rows`` rows, so that small shapes split
@@ -373,6 +381,46 @@ def test_points_csv_round_trip(tmp_path_factory, pts):
     save_points_csv(pts, path)
     b = load_points_csv(path)
     assert b.dtype == np.float64 and b.shape == pts.shape and b.tobytes() == pts.tobytes()
+
+
+# repeated values, both zeros, NaN, infinities and subnormals beside any float
+table_value = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, 2.0, math.nan, INF, -INF, 5e-324, -2.2250738585072014e-308,
+                     -1.7976931348623157e308, -0.00012345678901234567, 1234567890123456.7]),
+    st.floats(),
+)
+table_shape = st.one_of(st.tuples(st.integers(0, 12), st.integers(1, 6)), st.tuples(st.integers(0, 12)))
+
+
+def written_bytes(write, a, header, sink, tmp):
+    """The bytes ``write(a, <sink>, header=header)`` puts into a text stream, a
+    path or a .gz path (gunzipped)."""
+    if sink == "stream":
+        fh = io.StringIO()
+        write(a, fh, header=header)
+        return fh.getvalue().encode()
+    path = tmp / sink
+    write(a, path, header=header)
+    return gzip.decompress(path.read_bytes()) if sink.endswith(".gz") else path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(np.float64, table_shape, elements=table_value), st.sampled_from(["", "dim=3"]),
+       st.sampled_from(["stream", "t.csv", "t.csv.gz"]), st.sampled_from([8, 24, 100, 1 << 16]))
+@example(np.array([[0.0, -0.0, math.nan], [INF, -INF, 5e-324]]), "", "stream", 1 << 16)
+@example(np.array([[1.5]]), "dim=1", "t.csv.gz", 8)
+@example(np.zeros((0, 3)), "dim=3", "t.csv", 8)  # the header alone
+@example(np.zeros(0), "", "stream", 8)
+@example(np.array([3.0, -0.0, 3.0, math.nan]), "", "stream", 8)  # 1-D: one value a row
+@example(np.tile([[0.0, -0.0], [2.0, 0.0]], (6, 3)), "", "t.csv", 48)  # one row per block
+def test_table_writer_writes_the_bytes_of_savetxt(tmp_path_factory, a, header, sink, block):
+    def savetxt(x, dest, header):
+        np.savetxt(dest, x, fmt="%.17g", delimiter=",", header=header)
+
+    tmp = tmp_path_factory.mktemp("table")
+    with mock.patch.object(data, "_CSV_BLOCK_BYTES", block):  # blocks of few rows
+        got = written_bytes(data._save_table_csv, a, header, sink, tmp)
+    assert got == written_bytes(savetxt, a, header, sink, tmp)
 
 
 def hop_count_m(a):

@@ -180,6 +180,12 @@ class TestPower:
         with pytest.raises(ValidationError):
             power(A3, -1)
 
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_nan_rejected(self, k):
+        a = np.array([[0, np.nan, 1], [np.nan, 0, 2], [1, 2, 0]])
+        with pytest.raises(ValidationError, match=r"NaN, got one at \(0, 1\)"):
+            power(a, k)
+
     def test_equals_repeated_products(self, rng):
         a = random_dissim(rng, 7, with_inf=True)
         p = a
