@@ -13,7 +13,14 @@ import sys
 
 import numpy as np
 
-from .clustering import distance_histogram, estimate_num_clusters, radii_from_valleys, spheric_clustering
+from .clustering import (
+    _dendrogram,
+    _dendrogram_cut,
+    _dendrogram_histogram,
+    distance_histogram,
+    estimate_num_clusters,
+    radii_from_valleys,
+)
 from .data import (
     LatticeConfig,
     _save_table_csv,
@@ -25,7 +32,7 @@ from .data import (
     save_points_csv,
 )
 from .errors import ValidationError
-from .semiring import power_chain, stabilize
+from .semiring import power_chain, stabilize, validate_dissimilarity
 from .ultrametric import subdominant
 
 EXIT_OK = 0
@@ -94,9 +101,10 @@ def cmd_ultrametric(args) -> int:
 
 
 def cmd_cluster(args) -> int:
-    a = subdominant(_load_matrix(args))
+    # A*'s dendrogram from one spanning-forest sweep: no min-max product, no n^2 A*
+    order, heights = _dendrogram(validate_dissimilarity(_load_matrix(args)))
     if args.radius == "auto":
-        radius = _auto_radius(distance_histogram(a))
+        radius = _auto_radius(_dendrogram_histogram(heights))
         if radius is None:
             radius = 0.0  # single distance level: everything merges below it
     else:
@@ -104,7 +112,7 @@ def cmd_cluster(args) -> int:
             radius = float(args.radius)
         except ValueError:
             raise ValidationError(f"invalid radius {args.radius!r}") from None
-    assignment = spheric_clustering(a, radius).assignment
+    assignment = _dendrogram_cut(order, heights, radius)
     table = np.column_stack((np.arange(assignment.size), assignment))
     np.savetxt(args.output or sys.stdout, table, fmt="%d", delimiter=",")
     return EXIT_OK

@@ -10,7 +10,7 @@ import numpy as np
 from .data import _check_memory
 from .errors import NotUltrametricError, ValidationError
 from .ultrametric import is_ultrametric
-from .semiring import validate_dissimilarity
+from .semiring import _prim_forest, validate_dissimilarity
 
 __all__ = [
     "Clustering",
@@ -156,8 +156,7 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
     """
     a = validate_dissimilarity(a)
     n = a.shape[0]
-    iu, ju = np.triu_indices(n, 1)
-    vals = a[iu, ju]
+    vals = a[np.triu(np.ones((n, n), dtype=bool), 1)]
     finite = vals[np.isfinite(vals)]
     overflow = int(vals.size - finite.size)
 
@@ -231,3 +230,65 @@ def radii_from_valleys(h: DistanceHistogram, k: int) -> tuple[list[float], bool]
         chosen = positions[:k]
     shortfall = chosen.size < k
     return sorted((float(x) for x in chosen), reverse=True), shortfall
+
+
+def _dendrogram(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The dendrogram of A* for a validated dissimilarity ``a``, read off its spanning forest.
+
+    Returns the Prim sweep's join ``order`` and the join height ``h[k]`` of
+    each position, the weight of the edge by which ``order[k]`` joined, or
+    ``inf`` where it starts a new tree (always at k = 0).  The sweep
+    finishes each component of the edges of weight <= r before it leaves
+    it, so every single-linkage cluster is a run of consecutive positions:
+    A*[order[j], order[k]] = max(h[j+1..k]) for j < k, and the spheres of
+    radius r are the runs between positions with h > r.  O(n^2), with no
+    n^2 A*.
+    """
+    order, _, best = _prim_forest(a)
+    return order, best[order]
+
+
+def _dendrogram_histogram(h: np.ndarray) -> DistanceHistogram:
+    """``distance_histogram(A*)`` from the join heights ``h`` of ``_dendrogram``.
+
+    Pair (j, k), j < k, sits at max(h[j+1..k]); count it at the leftmost
+    position l of that maximum.  With p the last earlier position with
+    h >= h[l] and q the next later one with h > h[l] (n if none), those
+    pairs are the (l - p)·(q - l) with p <= j < l <= k < q.  One pass with
+    a stack finds every p and q; pairs at ``inf`` are the overflow.
+    """
+    n = h.size
+    heights = h.tolist()
+    prev, nxt, stack = [0] * n, [n] * n, []
+    for l, x in enumerate(heights):
+        while stack and heights[stack[-1]] < x:
+            nxt[stack.pop()] = l
+        prev[l] = stack[-1] if stack else 0
+        stack.append(l)
+    pos = np.arange(1, n)
+    pairs = (pos - np.array(prev[1:], dtype=int)) * (np.array(nxt[1:], dtype=int) - pos)
+    finite = np.isfinite(h[1:])
+    values, inverse = np.unique(h[1:][finite], return_inverse=True)
+    counts = np.zeros(values.size, dtype=int)
+    np.add.at(counts, inverse, pairs[finite])
+    return DistanceHistogram(
+        mode="distinct",
+        values=values,
+        counts=counts,
+        peaks=np.arange(values.size, dtype=int),
+        valleys=np.array([], dtype=int),
+        overflow=int(pairs[~finite].sum()),
+    )
+
+
+def _dendrogram_cut(order: np.ndarray, h: np.ndarray, r: float) -> np.ndarray:
+    """``spheric_clustering(A*, r).assignment`` from the ``_dendrogram`` of A*."""
+    _check_radius(r)
+    starts = h > r
+    starts[0] = True  # also at r = inf, where the pairs at inf merge
+    run = np.cumsum(starts) - 1
+    # number the runs in order of their smallest member
+    first = np.minimum.reduceat(order, np.flatnonzero(starts))
+    assignment = np.empty(order.size, dtype=np.intp)
+    assignment[order] = np.unique(first, return_inverse=True)[1][run]
+    return assignment

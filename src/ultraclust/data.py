@@ -37,6 +37,9 @@ _CSV = dict(delimiter=",", comments=None, ndmin=2)  # an inline "#" is a parse e
 # blocks format each value fewer times), and the 576 x 576 lattice A*
 # (3 values) 0.20-0.25x at every size
 _CSV_BLOCK_BYTES = 128 << 10
+# numpy's sum over an axis adds fewer terms than this one by one, left to
+# right, and more by pairwise summation
+_PAIRWISE_SUM_TERMS = 8
 # "%.17g" of a float64 takes at most 24 characters, as in
 # "-2.2250738585072014e-308"; the writer pads every value to this width
 _CSV_WIDTH = 24
@@ -145,15 +148,32 @@ def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
         raise ValidationError("duplicate points violate dissimilarity definiteness")
     if metric not in ("manhattan", "euclidean"):
         raise ValidationError(f"unknown metric {metric!r}")
-    d = np.empty((n, n))
-    # rows of about 1 MiB of (rows, n, dim) difference at a time
-    block = max(1, _BLOCK_BYTES // max(pts.nbytes, 1))
-    for s in range(0, n, block):
-        diff = pts[s : s + block, None, :] - pts[None, :, :]
-        if metric == "manhattan":
-            d[s : s + block] = np.abs(diff).sum(axis=-1)
-        else:
-            d[s : s + block] = np.sqrt((diff * diff).sum(axis=-1))
+    d = np.zeros((n, n))
+    dim = pts.shape[1]
+    if dim < _PAIRWISE_SUM_TERMS:
+        # a running sum over the coordinates gives the bytes of numpy's sum
+        # without the (rows, n, dim) difference; row blocks of about 1 MiB
+        block = max(1, _BLOCK_BYTES // (8 * n))
+        for s in range(0, n, block):
+            out = d[s : s + block]
+            for c in range(dim):
+                delta = pts[s : s + block, c, None] - pts[None, :, c]
+                if metric == "manhattan":
+                    out += np.abs(delta, out=delta)
+                else:
+                    out += np.multiply(delta, delta, out=delta)
+            if metric == "euclidean":
+                np.sqrt(out, out=out)
+    else:
+        # only numpy's own pairwise sum gives its bytes: rows of about 1 MiB
+        # of (rows, n, dim) difference at a time
+        block = max(1, _BLOCK_BYTES // max(pts.nbytes, 1))
+        for s in range(0, n, block):
+            diff = pts[s : s + block, None, :] - pts[None, :, :]
+            if metric == "manhattan":
+                d[s : s + block] = np.abs(diff).sum(axis=-1)
+            else:
+                d[s : s + block] = np.sqrt((diff * diff).sum(axis=-1))
     np.fill_diagonal(d, 0.0)
     return d
 
@@ -306,4 +326,6 @@ def load_points_csv(path) -> np.ndarray:
 def save_points_csv(points, path) -> None:
     """Write a point set as CSV with a leading dimension comment."""
     pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2:
+        raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
     _save_table_csv(pts, path, header=f"dim={pts.shape[1]}")

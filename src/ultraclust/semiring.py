@@ -217,7 +217,10 @@ def _threshold_product(a: np.ndarray, b: np.ndarray, top: int, symmetric: bool) 
     """Min-max product of codes at most ``top``, one 0/1 product per code value.
 
     With ``symmetric`` (``b`` is ``a``'s transpose) only the tiles on and
-    above the diagonal are multiplied; the others are mirrored.
+    above the diagonal are multiplied; the others are mirrored.  A level
+    whose row tile has at most one 1 a row, such as level 0 of dissimilarity
+    codes (the diagonal), needs no BLAS: row i of ``rows @ cols`` is row
+    k_i of ``cols`` for the 1 at k_i, and 0 for an empty row.
     """
     out = np.zeros((a.shape[0], b.shape[1]), dtype=a.dtype)
     tile = max(1, _TILE_BYTES // (4 * a.shape[1]))
@@ -227,13 +230,24 @@ def _threshold_product(a: np.ndarray, b: np.ndarray, top: int, symmetric: bool) 
         rows = a01[: min(tile, a.shape[0] - s)]
         for c in range(top):
             np.less_equal(a[s : s + tile], c, out=rows)
+            ones = rows.sum(axis=1)
+            gather = ones.max() <= 1  # at most one 1 a row: rows @ cols is a gather
+            if gather:
+                k, empty = rows.argmax(axis=1), (ones == 0)[:, None]
             for t in range(s if symmetric else 0, b.shape[1], tile):
                 if symmetric and t == s:
                     cols = rows.T  # rows @ rows.T: numpy calls BLAS syrk
                 else:
                     cols = b01[:, : min(tile, b.shape[1] - t)]
                     np.less_equal(b[:, t : t + tile], c, out=cols)
-                out[s : s + tile, t : t + tile] += (rows @ cols) == 0
+                if not gather:
+                    zero = (rows @ cols) == 0
+                elif symmetric and t == s:
+                    # row k_i of rows.T holds a 1 at j when row j's 1 is at k_i too
+                    zero = (k[:, None] != k) | empty | empty.T
+                else:
+                    zero = (cols[k] == 0) | empty
+                out[s : s + tile, t : t + tile] += zero
         if symmetric:
             out[s + tile :, s : s + tile] = out[s : s + tile, s + tile :].T
     return out

@@ -1,9 +1,19 @@
+import io
 import json
 
 import numpy as np
 import pytest
 
-from ultraclust import example1_matrix, is_ultrametric, save_matrix_csv, save_points_csv, subdominant
+from ultraclust import (
+    distance_histogram,
+    example1_matrix,
+    is_ultrametric,
+    radii_from_valleys,
+    save_matrix_csv,
+    save_points_csv,
+    spheric_clustering,
+    subdominant,
+)
 from ultraclust import data, semiring, ultrametric
 from ultraclust.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import random_dissim
@@ -128,6 +138,28 @@ class TestCluster:
         ids = {int(r.split(",")[1]) for r in capsys.readouterr().out.strip().splitlines()}
         assert ids == {0}
 
+    @pytest.mark.parametrize("split", [False, True])
+    @pytest.mark.parametrize("integer", [False, True])
+    def test_bytes_of_the_library_path(self, tmp_path, capsys, rng, integer, split):
+        """``cluster`` reads the spanning forest; its bytes are those of
+        ``spheric_clustering`` on ``subdominant``, at the radius that
+        ``radii_from_valleys`` takes from ``distance_histogram``."""
+        a = random_dissim(rng, 30, integer=integer, with_inf=True)
+        if split:  # two trees: inf in A*, merged at radius inf
+            a[:12, 12:] = a[12:, :12] = np.inf
+        path = tmp_path / "a.csv"
+        save_matrix_csv(a, path)
+        u = subdominant(a)
+        levels = np.unique(u)
+        radii = {"auto": radii_from_valleys(distance_histogram(u), 1)[0][0], "inf": np.inf,
+                 **{repr(r): r for r in [*levels.tolist(), *((levels[:-1] + levels[1:]) / 2).tolist()]}}
+        for flag, r in radii.items():
+            want = io.StringIO()
+            assignment = spheric_clustering(u, r).assignment
+            np.savetxt(want, np.column_stack((np.arange(30), assignment)), fmt="%d", delimiter=",")
+            assert main(["cluster", "--input", str(path), "--radius", flag]) == EXIT_OK
+            assert capsys.readouterr().out == want.getvalue()
+
     def test_nan_point_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "pts.csv"
         path.write_text("0,0\n1,nan\n5,5\n")
@@ -226,7 +258,7 @@ class TestGoldenBytes:
 
 
 class TestProductCounts:
-    """Only ``cluster`` needs a min-max product: the one ultrametric check."""
+    """The commands that read only ``A*`` make no min-max product."""
 
     @pytest.fixture
     def products(self, monkeypatch):
@@ -250,18 +282,12 @@ class TestProductCounts:
         save_matrix_csv(subdominant(a), paths[1])
         return [str(p) for p in paths]
 
-    @pytest.mark.parametrize("argv", [["ultrametric"], ["histogram", "--stage", "stabilized"]])
+    @pytest.mark.parametrize("argv", [["ultrametric"], ["histogram", "--stage", "stabilized"], ["cluster"]])
     def test_fixpoint_commands_make_no_product(self, argv, raw_and_star, products):
         products.clear()
         for path in raw_and_star:
             assert main([*argv, "--input", path]) == EXIT_OK
         assert products == []
-
-    def test_cluster_makes_one_product(self, raw_and_star, products):
-        for path in raw_and_star:
-            products.clear()
-            assert main(["cluster", "--input", path]) == EXIT_OK
-            assert len(products) == 1
 
 
 class TestGenerate:

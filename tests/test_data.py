@@ -1,5 +1,6 @@
 import gzip
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -150,6 +151,24 @@ class TestPairwiseMatrix:
     def test_memory_probe_reports_physical_memory(self):
         assert data._physical_memory() > 2**20
 
+    @pytest.mark.parametrize("n", [5, 300, 700])
+    @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])
+    def test_bytes_of_the_difference_tensor_sum(self, rng, metric, n):
+        """Each dimension gives the bytes of numpy's sum over the (rows, n, dim)
+        difference tensor, in row blocks that keep it small here too."""
+        for dim in range(1, 13):
+            # magnitudes from e^-30 to e^30, of either sign
+            pts = np.exp(rng.uniform(-30, 30, (n, dim))) * rng.choice([-1.0, 1.0], (n, dim))
+            want = np.empty((n, n))
+            for s in range(0, n, 50):
+                diff = pts[s : s + 50, None, :] - pts[None, :, :]
+                if metric == "manhattan":
+                    want[s : s + 50] = np.abs(diff).sum(axis=-1)
+                else:
+                    want[s : s + 50] = np.sqrt((diff * diff).sum(axis=-1))
+            np.fill_diagonal(want, 0.0)
+            assert pairwise_matrix(pts, metric).tobytes() == want.tobytes(), dim
+
 
 class TestExample1:
     def test_table_entries(self):
@@ -294,6 +313,12 @@ class TestTableWriter:
         sink = TextSize()
         _, peak = peak_bytes(save_matrix_csv, star, sink)
         assert sink.chars > 60 * 2**20 and peak < 4 * 2**20
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_points_not_of_two_axes_rejected(self, shape):
+        message = rf"^expected an \(n, dim\) point array, got {re.escape(str(shape))}$"
+        with pytest.raises(ValidationError, match=message):
+            save_points_csv(np.zeros(shape), TextSize())
 
     @pytest.mark.parametrize("shape", [(3, 0), (2, 2, 2)])
     def test_tables_without_columns_or_of_three_axes_rejected(self, shape):

@@ -5,9 +5,12 @@ on the float powers, few-level codes multiply as the broadcast kernel
 multiplies their float copies, a product by the transpose matches the
 naive product on every kernel, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
-clusterings nest, CSV files read back exactly what was written, and the
-float table writer writes the bytes of ``np.savetxt``."""
+clusterings nest, the spanning forest's dendrogram gives the histograms
+and clusterings of A* and SciPy's single-linkage cuts, CSV files read back
+exactly what was written, and the float table writer writes the bytes of
+``np.savetxt``."""
 
+import dataclasses
 import gzip
 import io
 import math
@@ -20,9 +23,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ultraclust import data  # noqa: E402
+from ultraclust import clustering, data  # noqa: E402
 from ultraclust import (  # noqa: E402
     LatticeConfig,
+    distance_histogram,
     is_perfect_clustering,
     lattice_generate,
     load_matrix_csv,
@@ -39,7 +43,7 @@ from ultraclust import (  # noqa: E402
     stabilize,
     subdominant,
 )
-from conftest import path_dissim  # noqa: E402
+from conftest import path_dissim, random_dissim  # noqa: E402
 
 INF = math.inf
 
@@ -209,8 +213,23 @@ def with_inf_top(a):
     return np.where(a == a.max(), INF, a.astype(float))
 
 
+def one_zero(where, n, top=3):
+    """Codes 1..top with a 0 at (i, where[i]) for each row i where that is not None.
+
+    Level 0 then has at most one 1 a row, and its 0/1 product is a gather.
+    """
+    a = (np.arange(len(where) * n).reshape(-1, n) % top + 1).astype(np.uint8)
+    for i, k in enumerate(where):
+        if k is not None:
+            a[i, k] = 0
+    return a
+
+
 BAND = banded(12, 40)
 LIVE = [1, 2, 5, 6, 11]
+DIAGONAL = one_zero(range(10), 10)
+PERMUTATION = one_zero([3, 7, 0, 9, 1, 8, 2, 6, 4, 5], 10)
+GAPS = one_zero([4, None, 4, 0, None, 9, 2, None, 9, 4], 10)  # empty rows, shared columns
 
 
 @settings(max_examples=300, deadline=None)
@@ -224,6 +243,12 @@ LIVE = [1, 2, 5, 6, 11]
 @example((BAND, BAND[:, ::-1].copy()), 2)
 @example((banded(9, 200, np.uint8), banded(9, 200, np.uint8)[::-1].copy()), 2)
 @example(live_block(BAND, minmax_product(BAND, BAND), LIVE), 1)  # a lifting block
+# level 0 of the left operand has at most one 1 a row: a row gather, untiled and in tiles of 3
+@example((DIAGONAL, staircase(10, 10, 7, 3)[1]), 1 << 10)
+@example((DIAGONAL, staircase(10, 10, 7, 3)[1]), 3)
+@example((PERMUTATION, PERMUTATION), 3)
+@example((GAPS, PERMUTATION.T.copy()), 4)
+@example((GAPS[:, :7].copy(), np.full((7, 5), 2, np.uint8)), 2)  # a right level-0 mask of zeros
 def test_few_level_codes_match_the_float_product(operands, tile):
     a, b = operands
     top = int(max(a.max(), b.max()))
@@ -282,6 +307,12 @@ def near_miss(r, n, top, dtype=np.uint8):
 @example(with_transpose(np.array([[INF, 1.0, 2.0], [2.0, INF, 0.5]])), 1, False)
 @example(near_miss(10, 13, 3), 3, False)
 @example(near_miss(10, 13, 40, np.uint16), 3, False)
+# level 0 has at most one 1 a row: the diagonal tile compares the rows' columns
+@example(with_transpose(DIAGONAL), 1 << 10, False)
+@example(with_transpose(DIAGONAL), 3, False)
+@example(with_transpose(PERMUTATION), 4, False)
+@example(with_transpose(GAPS), 3, False)
+@example(with_transpose(GAPS[:7]), 1 << 10, False)  # 7 x 10
 # rows of width 0 and 1, a squaring's live block, inf holes over +0.0
 @example(with_transpose(BAND), 2, True)
 @example(live_block(BAND, BAND, LIVE), 1, True)
@@ -341,6 +372,53 @@ def test_spheric_clusterings_nest_as_the_radius_grows(a, extra):
             assert np.unique(coarse.assignment[fine.assignment == k]).size == 1
     assert clusterings[0].num_clusters == u.shape[0]
     assert clusterings[-1].num_clusters == 1
+
+
+@st.composite
+def linkage_dissims(draw):
+    """Floats or tied integers, n from 1 to 40, with inf holes one time in five."""
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return random_dissim(rng, n, integer=draw(st.booleans()), with_inf=draw(st.sampled_from([False] * 4 + [True])))
+
+
+def same_partition(x, y):
+    """True iff two labelings of the same points group them alike."""
+    pairs = np.unique(np.column_stack((x, y)), axis=0)
+    return pairs.shape[0] == np.unique(x).size == np.unique(y).size
+
+
+@settings(max_examples=200, deadline=None)
+@given(linkage_dissims())
+@example(np.zeros((1, 1)))  # one point: no pairs
+@example(symmetric(5, [7.0] * 10))  # one level
+@example(symmetric(4, [INF] * 6))  # four trees: only r = inf merges them
+@example(two_components(5))  # two trees
+@example(path_dissim(9))  # ties along the whole sweep
+def test_dendrogram_reads_the_fixpoint(a):
+    u = subdominant(a)
+    order, h = clustering._dendrogram(a)
+    got, want = clustering._dendrogram_histogram(h), distance_histogram(u)
+    for field in dataclasses.fields(want):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        assert type(x) is type(y)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+    levels = np.unique(u)
+    radii = [0.0, *levels.tolist(), *((levels[:-1] + levels[1:]) / 2).tolist(), INF]
+    n = a.shape[0]
+    z = None
+    if n > 1 and np.isfinite(a).all():
+        hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
+        z = hierarchy.linkage(a[np.triu_indices(n, 1)], method="single")
+    for r in radii:
+        cut = clustering._dendrogram_cut(order, h, r)
+        ref = spheric_clustering(u, r).assignment
+        assert cut.dtype == ref.dtype and np.array_equal(cut, ref)
+        if z is not None:
+            assert same_partition(cut, hierarchy.fcluster(z, r, criterion="distance"))
 
 
 # 0 < x <= inf, with subnormals and the ends of the double range drawn often
