@@ -14,7 +14,6 @@ import sys
 import numpy as np
 
 from .clustering import (
-    _dendrogram,
     _dendrogram_cut,
     _dendrogram_histogram,
     distance_histogram,
@@ -32,7 +31,7 @@ from .data import (
     save_points_csv,
 )
 from .errors import ValidationError
-from .semiring import power_chain, stabilize, validate_dissimilarity
+from .semiring import _dendrogram, power_chain, stabilize
 from .ultrametric import subdominant
 
 EXIT_OK = 0
@@ -102,7 +101,7 @@ def cmd_ultrametric(args) -> int:
 
 def cmd_cluster(args) -> int:
     # A*'s dendrogram from one spanning-forest sweep: no min-max product, no n^2 A*
-    order, heights = _dendrogram(validate_dissimilarity(_load_matrix(args)))
+    order, heights = _dendrogram(_load_matrix(args))
     if args.radius == "auto":
         radius = _auto_radius(_dendrogram_histogram(heights))
         if radius is None:

@@ -10,7 +10,7 @@ import numpy as np
 from .data import _check_memory
 from .errors import NotUltrametricError, ValidationError
 from .ultrametric import is_ultrametric
-from .semiring import _prim_forest, validate_dissimilarity
+from .semiring import validate_dissimilarity
 
 __all__ = [
     "Clustering",
@@ -169,6 +169,8 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
     elif mode == "binned":
         if bins is None:
             bins = max(1, math.ceil(math.sqrt(max(vals.size, 1))))
+        if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)):
+            raise ValidationError(f"bins must be an integer, got {bins!r}")
         if bins < 1:
             raise ValidationError(f"bins must be positive, got {bins}")
         need = 16 * int(bins) + 8  # float64 edges, int64 counts
@@ -232,24 +234,8 @@ def radii_from_valleys(h: DistanceHistogram, k: int) -> tuple[list[float], bool]
     return sorted((float(x) for x in chosen), reverse=True), shortfall
 
 
-def _dendrogram(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The dendrogram of A* for a validated dissimilarity ``a``, read off its spanning forest.
-
-    Returns the Prim sweep's join ``order`` and the join height ``h[k]`` of
-    each position, the weight of the edge by which ``order[k]`` joined, or
-    ``inf`` where it starts a new tree (always at k = 0).  The sweep
-    finishes each component of the edges of weight <= r before it leaves
-    it, so every single-linkage cluster is a run of consecutive positions:
-    A*[order[j], order[k]] = max(h[j+1..k]) for j < k, and the spheres of
-    radius r are the runs between positions with h > r.  O(n^2), with no
-    n^2 A*.
-    """
-    order, _, best = _prim_forest(a)
-    return order, best[order]
-
-
 def _dendrogram_histogram(h: np.ndarray) -> DistanceHistogram:
-    """``distance_histogram(A*)`` from the join heights ``h`` of ``_dendrogram``.
+    """``distance_histogram(A*)`` from the join heights ``h`` of ``semiring._dendrogram``.
 
     Pair (j, k), j < k, sits at max(h[j+1..k]); count it at the leftmost
     position l of that maximum.  With p the last earlier position with
@@ -282,7 +268,7 @@ def _dendrogram_histogram(h: np.ndarray) -> DistanceHistogram:
 
 
 def _dendrogram_cut(order: np.ndarray, h: np.ndarray, r: float) -> np.ndarray:
-    """``spheric_clustering(A*, r).assignment`` from the ``_dendrogram`` of A*."""
+    """``spheric_clustering(A*, r).assignment`` from the ``semiring._dendrogram`` of A*."""
     _check_radius(r)
     starts = h > r
     starts[0] = True  # also at r = inf, where the pairs at inf merge

@@ -135,7 +135,11 @@ def _check_memory(nbytes: int, need: str) -> None:
 
 
 def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
-    """Pairwise distance matrix of a point set under the chosen metric."""
+    """Pairwise distance matrix of a point set under the chosen metric.
+
+    Two points at distance 0 (duplicates, or a Euclidean distance that
+    underflows) raise ``ValidationError``.
+    """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
@@ -144,8 +148,6 @@ def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
     if not np.all(np.isfinite(pts)):
         i, j = np.argwhere(~np.isfinite(pts))[0]
         raise ValidationError(f"row {i}, column {j}: coordinate must be finite, got {pts[i, j]}")
-    if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
-        raise ValidationError("duplicate points violate dissimilarity definiteness")
     if metric not in ("manhattan", "euclidean"):
         raise ValidationError(f"unknown metric {metric!r}")
     d = np.zeros((n, n))
@@ -174,7 +176,12 @@ def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
                 d[s : s + block] = np.abs(diff).sum(axis=-1)
             else:
                 d[s : s + block] = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(d, 0.0)
+    # |x - y| = |y - x|, summed in the same order, and x - x = +0.0: d is a
+    # dissimilarity unless some other pair is at distance 0 too
+    if np.count_nonzero(d == 0.0) > n:
+        i, j = np.argwhere(np.triu(d == 0.0, 1))[0]
+        raise ValidationError(f"points {i} and {j} are at distance 0: duplicate or underflowing points "
+                              "violate dissimilarity definiteness")
     return d
 
 

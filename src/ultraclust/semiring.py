@@ -16,9 +16,10 @@ row-sparse kernel multiplies only those: a term max(a[i,k], b[k,j]) with
 a[i,k] == top is never below another term.  All other operands go through
 a blocked broadcast kernel.  A product by the operand's own transpose, such
 as every squaring of a symmetric power, computes one triangle of its
-symmetric result and mirrors it.  The spanning-forest sweep
-behind :func:`minimax_oracle` lives here too, because :func:`stabilize` codes
-the powers by the distinct values of its result, the forest's edge weights.
+symmetric result and mirrors it.  The fixpoint A* is the single-linkage
+cophenetic matrix: one dense Prim sweep, :func:`_dendrogram`, gives it as a
+join order and join heights, by which :func:`stabilize` codes the powers and
+from which :func:`minimax_oracle` fills A*.
 """
 
 from __future__ import annotations
@@ -374,18 +375,19 @@ def _differing_rows(x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarra
     return live[np.any(x[live] != y[live], axis=1)]
 
 
-def _prim_forest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Dense Prim sweep of a symmetric weight matrix: a minimum spanning forest.
+def _dendrogram(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Single-linkage dendrogram of a symmetric weight matrix, by one dense Prim sweep.
 
-    Returns ``order``, the vertices in the order they join, and for each
-    vertex v the forest vertex ``via[v]`` it joins through and the weight
-    ``best[v]`` of that edge; a vertex that starts a new tree has via -1 and
-    best ``inf``.  Non-finite weights are not edges.  O(n^2).
+    Returns the vertices in the ``order`` they join a minimum spanning forest
+    and the join height ``h[k]`` of each position: the weight of the edge by
+    which ``order[k]`` joined, or ``inf`` where it starts a new tree (always
+    at k = 0).  Infinite weights are not edges.  The sweep finishes each
+    component of the edges of weight <= r before it leaves it, so every
+    single-linkage cluster is a run of consecutive positions and
+    A*[order[j], order[k]] = max(h[j+1..k]) for j < k.  O(n^2).
     """
     n = w.shape[0]
-    # best[v]: lightest edge from the forest grown so far to v, via[v] its end
-    best = np.full(n, np.inf)
-    via = np.full(n, -1)
+    best = np.full(n, np.inf)  # lightest edge from the forest grown so far
     outside = np.ones(n, dtype=bool)
     order = np.empty(n, dtype=np.intp)
     for k in range(n):
@@ -397,49 +399,46 @@ def _prim_forest(w: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         row = w[v]
         closer = outside & np.isfinite(row) & (row < best)
         best[closer] = row[closer]
-        via[closer] = v
-    return order, via, best
+    return order, best[order]
 
 
 def minimax_oracle(weights) -> np.ndarray:
     """All-pairs minimax path weights of a symmetric weighted graph.
 
     For each pair the minimum over connecting paths of the largest edge
-    weight; ``inf`` between disconnected components; non-finite weights are
-    not edges.  A dense Prim sweep grows a minimum spanning forest in O(n^2),
-    and the result is filled in the order the vertices joined: a vertex v
-    that joins through the edge (via[v], v) of weight best[v] gets
-    max(best[v], A*[via[v], u]) to every vertex u that joined before it, and
-    ``inf`` if it starts a new tree.
+    weight; ``inf`` between disconnected components; infinite weights are
+    not edges, and NaN raises ``ValidationError``.  The result is filled
+    from the :func:`_dendrogram` of a dense Prim sweep in O(n^2): the vertex
+    at position k gets max(h[j+1..k]) to the vertex at each earlier
+    position j.  Where -0.0 and 0.0 weights tie for a pair's largest edge,
+    which of the two zeros the pair gets is unspecified.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
         raise ValidationError(f"expected a square weight matrix, got {w.shape}")
+    if np.isnan(w).any():
+        i, j = np.argwhere(np.isnan(w))[0]
+        raise ValidationError(f"minimax_oracle requires a matrix without NaN, got one at ({i}, {j})")
     if not np.array_equal(w, w.T):
         raise ValidationError("weight matrix must be symmetric")
-    order, via, best = _prim_forest(w)
+    order, h = _dendrogram(w)
     out = np.full(w.shape, np.inf)
-    # -inf until the end, so that v's entry at via[v] is best[v] even if negative
-    np.fill_diagonal(out, -np.inf)
-    for k, v in enumerate(order):
-        if via[v] >= 0:
-            # every forest path from v to an earlier vertex starts with (v, via[v])
-            done = order[:k]
-            out[v, done] = out[done, v] = np.maximum(best[v], out[via[v], done])
     np.fill_diagonal(out, 0.0)
+    for k in range(1, w.shape[0]):
+        # the running max of h[k], h[k-1], ..., h[1], read back to front
+        out[order[k], order[:k]] = out[order[:k], order[k]] = np.maximum.accumulate(h[k:0:-1])[::-1]
     return out
 
 
 def _star_levels(a: np.ndarray) -> np.ndarray:
     """The sorted distinct values of A* = ``minimax_oracle(a)``, without filling it.
 
-    They are 0 (the diagonal), the weights of the spanning forest's edges
-    (each joins its two ends, no lighter path does) and ``inf`` when the
-    forest has more than one tree.
+    They are 0 (the diagonal) and the dendrogram's join heights after the
+    first, which is always ``inf``: each merge joins its two parts at its
+    height, and a later ``inf`` starts a second tree.
     """
-    _, via, best = _prim_forest(a)
-    apart = [np.inf] if np.count_nonzero(via < 0) > 1 else []
-    return np.unique(np.concatenate(([0.0], best[via >= 0], apart)))
+    _, h = _dendrogram(a)
+    return np.unique(np.append(h[1:], 0.0))
 
 
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:

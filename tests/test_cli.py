@@ -166,6 +166,20 @@ class TestCluster:
         assert main(["cluster", "--input", str(path), "--kind", "points"]) == EXIT_VALIDATION
         assert "row 1, column 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("metric,text", [
+        ("manhattan", "0,0\n1,1\n0,0\n"),  # duplicate points
+        ("euclidean", "0\n1\n1e-200\n"),  # their distance 1e-200 squares to 0
+    ])
+    def test_zero_distance_points_are_validation_error(self, tmp_path, capsys, metric, text):
+        path = tmp_path / "pts.csv"
+        path.write_text(text)
+        argv = ["cluster", "--input", str(path), "--kind", "points", "--metric", metric]
+        assert main(argv) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: points 0 and 2 are at distance 0: ")
+        assert "duplicate" in captured.err
+
     @pytest.mark.parametrize("command", ["analyze", "ultrametric", "cluster"])
     def test_points_beyond_memory_are_validation_error(self, tmp_path, monkeypatch, capsys, rng,
                                                        command):

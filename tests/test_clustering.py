@@ -187,6 +187,14 @@ class TestDistanceHistogram:
         assert h.counts.sum() == 0
         assert h.peaks.size == 0 and h.valleys.size == 0
 
+    @pytest.mark.parametrize("bins", [2.5, 3.0, True, np.bool_(True), "3"])
+    def test_non_integer_bins_rejected(self, bins):
+        with pytest.raises(ValidationError, match=r"^bins must be an integer, got "):
+            distance_histogram(EX1, mode="binned", bins=bins)
+
+    def test_numpy_integer_bins(self):
+        assert distance_histogram(EX1, mode="binned", bins=np.int64(3)).counts.size == 3
+
     def test_bins_rejected_in_distinct_mode(self):
         with pytest.raises(ValidationError):
             distance_histogram(EX1, mode="distinct", bins=4)

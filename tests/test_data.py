@@ -120,8 +120,17 @@ class TestPairwiseMatrix:
         assert peak < d.nbytes + 4 * 2**20
 
     def test_duplicates_rejected(self):
-        with pytest.raises(ValidationError):
-            pairwise_matrix(np.zeros((2, 2)), "manhattan")
+        pts = np.array([[0.0, 1.0], [2.0, 3.0], [0.0, 1.0]])
+        for metric in ("manhattan", "euclidean"):
+            with pytest.raises(ValidationError, match=r"^points 0 and 2 are at distance 0: .*duplicate"):
+                pairwise_matrix(pts, metric)
+
+    def test_underflowing_distance_rejected(self):
+        # distinct points whose squared difference 1e-400 underflows to 0
+        pts = np.array([[5.0], [0.0], [1e-200]])
+        with pytest.raises(ValidationError, match=r"^points 1 and 2 are at distance 0: .*duplicate"):
+            pairwise_matrix(pts, "euclidean")
+        assert pairwise_matrix(pts, "manhattan")[1, 2] == 1e-200
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):

@@ -1,4 +1,5 @@
-"""Property tests: the level-code doubling search and the spanning-forest sweep
+"""Property tests: the spanning-forest sweep gives the (min, max) Floyd-Warshall
+closure of any symmetric weights, the level-code doubling search and the sweep
 agree with the float chain, both strategies' m is the largest hop count of a
 minimax path, the facts by which doubling settles rows hold
 on the float powers, few-level codes multiply as the broadcast kernel
@@ -110,6 +111,45 @@ def two_components(n):
 @example(tree_dissim(40, 3, True))  # an isolated point
 def test_levels_are_the_distinct_values_of_the_fixpoint(a):
     assert semiring._star_levels(a).tobytes() == np.unique(minimax_oracle(a)).tobytes()
+
+
+def minimax_closure(w):
+    """All-pairs minimax path weights by a (min, max) Floyd-Warshall closure.
+
+    Only finite weights are edges, the diagonal is not one, and a vertex
+    reaches itself at 0 by the empty path.
+    """
+    d = np.where(np.isfinite(w), w, INF)
+    np.fill_diagonal(d, INF)
+    for k in range(d.shape[0]):
+        d = np.minimum(d, np.maximum(d[:, k, None], d[None, k, :]))
+    np.fill_diagonal(d, 0.0)
+    return d
+
+
+@st.composite
+def weight_graphs(draw):
+    """Symmetric weights of any sign, ±0.0 and ±inf among them, on any diagonal."""
+    n = draw(st.integers(1, 12))
+    value = st.one_of(
+        st.sampled_from([-INF, -2.0, -0.0, 0.0, 1.0, 3.0, INF]),
+        st.floats(allow_nan=False, allow_infinity=False, width=16),
+    )
+    w = np.array(draw(st.lists(value, min_size=n * n, max_size=n * n))).reshape(n, n)
+    upper = np.triu(np.ones((n, n), dtype=bool), 1)
+    w.T[upper] = w[upper]  # mirrors signed zeros too
+    return w
+
+
+@settings(max_examples=300, deadline=None)
+@given(weight_graphs())
+@example(np.zeros((1, 1)))
+@example(np.array([[7.0, -INF], [-INF, -1.0]]))  # no edge, nonzero diagonal: two trees
+@example(np.array([[0.0, -0.0, INF], [-0.0, 0.0, 0.0], [INF, 0.0, 0.0]]))  # a path of ±0 edges
+@example(symmetric(5, [-3.0, 2.0, INF, INF, -1.0, INF, INF, INF, INF, 5.0]))  # negative weights
+@example(two_components(4) - 2.0)  # two trees, shifted below 0
+def test_oracle_is_the_minimax_closure(w):
+    assert np.array_equal(minimax_oracle(w), minimax_closure(w))
 
 
 def assert_strategies_agree(a):
@@ -397,7 +437,7 @@ def same_partition(x, y):
 @example(path_dissim(9))  # ties along the whole sweep
 def test_dendrogram_reads_the_fixpoint(a):
     u = subdominant(a)
-    order, h = clustering._dendrogram(a)
+    order, h = semiring._dendrogram(a)
     got, want = clustering._dendrogram_histogram(h), distance_histogram(u)
     for field in dataclasses.fields(want):
         x, y = getattr(got, field.name), getattr(want, field.name)

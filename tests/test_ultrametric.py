@@ -116,6 +116,15 @@ class TestMinimaxOracle:
         with pytest.raises(ValidationError):
             minimax_oracle(np.array([[0, 1], [2, 0]], float))
 
+    def test_nan_rejected_before_symmetry(self):
+        w = np.array([[0, 1, 2], [1, 0, np.nan], [2, np.nan, 0]])
+        message = r"^minimax_oracle requires a matrix without NaN, got one at \(1, 2\)$"
+        with pytest.raises(ValidationError, match=message):
+            minimax_oracle(w)
+        w[2, 1] = 4.0
+        with pytest.raises(ValidationError, match=message):
+            minimax_oracle(w)
+
     def test_agrees_with_subdominant(self, rng):
         # the semiring fixpoint is the independent reference
         for _ in range(40):
