@@ -18,8 +18,9 @@ a blocked broadcast kernel.  A product by the operand's own transpose, such
 as every squaring of a symmetric power, computes one triangle of its
 symmetric result and mirrors it.  The fixpoint A* is the single-linkage
 cophenetic matrix: one dense Prim sweep, :func:`_dendrogram`, gives it as a
-join order and join heights, by which :func:`stabilize` codes the powers and
-from which :func:`minimax_oracle` fills A*.
+join order and join heights, from which :func:`_fill` builds A*, as floats
+for :func:`minimax_oracle` and as level codes for :func:`stabilize`, whose
+products compute only the entries of a power still above A*'s.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ _TILE_BYTES = 2 << 20
 # the dense triangle at about 28% of the entries below top (uint16, n = 300
 # and 600; above 28% on uint8 and 32% on float64), and with the general
 # product at about 52% (uint16, n = 300 and 600).  A cost of 2 takes it
-# below 25% (triangle) and 50% (general)
+# below 25% (triangle) and 50% (general).  The doubling search's entry
+# kernel costs about the same per element-op: on the n = 600 uniform codes
+# of ``dense-random`` (same machine) a squaring took 62 ms by entries
+# against 43 ms for the mirrored block with 71% of the block's entries
+# live, and 27 against 32 ms with 38% live
 _SPARSE_COST = 2
 
 
@@ -356,23 +361,92 @@ def _level_codes(a: np.ndarray, levels: np.ndarray) -> np.ndarray:
     return codes
 
 
-def _live_product(p: np.ndarray, b: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """p·b of symmetric powers whose rows outside ``live`` keep p's values.
+def _settle(
+    p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, differ: np.ndarray, few: bool
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """p·b for powers p = A^k and b = A^l, computed only where p differs from A*.
 
-    By symmetry the other rows are also columns that keep p's values, so
-    one rectangular product of the live rows by the live columns, |live|^2·n
-    element-ops, gives the whole result.
+    ``live`` holds the rows of p that differ from ``star``, A*'s codes, and
+    ``differ`` the (live, live) mask of those entries.  Every other entry of
+    p already equals A*'s, and so does the product's, since
+    A* <= A^(k+l) <= A^k entrywise.  Powers of a symmetric matrix are
+    symmetric, so a row outside ``live`` is also a column outside it, and
+    the product is computed on the (live, live) block alone: as one
+    ``minmax_product(p[live], b[:, live])`` of R^2·n element-ops for R live
+    rows (R^2·n/2 for a squaring, which it mirrors), or entry by entry by
+    :func:`_entry_product`, one triangle of ``differ`` at n element-ops an
+    entry.  The entries are taken when ``_SPARSE_COST`` times their cost is
+    below the block's, and never for ``few``-level codes, whose 0/1 BLAS
+    products are cheaper.  Returns the product with its own live rows and
+    mask, both read off the one comparison of the computed entries with
+    ``star``.
     """
-    if live.size == p.shape[0]:  # nothing settled yet: skip the gathers
-        return minmax_product(p, b)
-    out = p.copy()
-    out[np.ix_(live, live)] = minmax_product(p[live], b[:, live])
-    return out
+    n, r = p.shape[0], live.size
+    entries = np.count_nonzero(differ) // 2  # one triangle: the diagonal never differs
+    # n element-ops an entry against R^2·n for the block, half that for a squaring
+    if few or _SPARSE_COST * entries * (1 + (b is p)) >= r * r:
+        if r == n:  # nothing settled yet: skip the gathers
+            q = minmax_product(p, b)
+            differ = q != star
+        else:
+            rows = p[live]
+            sub = minmax_product(rows, b[:, live])
+            differ = sub != star[live][:, live]
+            # two one-axis gathers and scatters: np.ix_ pairs index every element
+            rows[:, live] = sub
+            q = p.copy()
+            q[live] = rows
+    else:
+        q = p.copy()
+        ranks = np.arange(r)
+        differ = _entry_product(p, b, star, live, differ & (ranks > ranks[:, None]), q)
+    return (q, *_drop_settled(live, differ))
 
 
-def _differing_rows(x: np.ndarray, y: np.ndarray, live: np.ndarray) -> np.ndarray:
-    """The rows of ``live`` where x and y differ; all other rows agree."""
-    return live[np.any(x[live] != y[live], axis=1)]
+def _drop_settled(live: np.ndarray, differ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``live`` and its (live, live) mask ``differ`` without the rows where ``differ`` is all False."""
+    keep = differ.any(axis=1)
+    if keep.all():
+        return live, differ
+    return live[keep], differ[keep][:, keep]
+
+
+def _entry_product(
+    p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, upper: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """The entries (live[i], live[j]) of p·b where ``upper[i, j]``, written to ``out`` and mirrored.
+
+    p and b are powers of one symmetric matrix, so p·b is symmetric and
+    column j of b is its row j: entry (i, j) is the min over k of
+    max(p[i, k], b[j, k]), one row of p against one row of b.  Rows are
+    taken widest first, as in :func:`_sparse_product`; a block of them packs
+    its columns into (rows, w), padded with column 0, where w is the width
+    of its first, widest row, and the (rows, w, n) gather of b's rows takes
+    about ``_BLOCK_BYTES``.  Returns the (live, live) mask of the computed
+    entries that still differ from ``star``.
+    """
+    n = p.shape[1]
+    widths = np.count_nonzero(upper, axis=1)
+    differ = np.zeros(upper.shape, dtype=bool)
+    order = np.argsort(-widths, kind="stable")[: np.count_nonzero(widths)]
+    s = 0
+    while s < order.size:
+        w = int(widths[order[s]])
+        rows = order[s : s + max(1, _BLOCK_BYTES // (p.itemsize * w * n))]
+        s += rows.size
+        # the entries of these rows, row by row, and each entry's place in its row
+        r, c = np.nonzero(upper[rows])
+        place = np.arange(r.size) - (np.cumsum(widths[rows]) - widths[rows])[r]
+        cols = np.zeros((rows.size, w), dtype=np.intp)
+        cols[r, place] = live[c]
+        terms = b[cols]  # (rows, w, n): row cols[i, t] of b
+        np.maximum(p[live[rows]][:, None, :], terms, out=terms)
+        v = terms.min(axis=2)[r, place]
+        del terms  # freed before the next block's gather
+        i, j = live[rows[r]], live[c]
+        out[i, j] = out[j, i] = v
+        differ[rows[r], c] = differ[c, rows[r]] = v != star[i, j]
+    return differ
 
 
 def _dendrogram(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,19 +461,34 @@ def _dendrogram(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     A*[order[j], order[k]] = max(h[j+1..k]) for j < k.  O(n^2).
     """
     n = w.shape[0]
-    best = np.full(n, np.inf)  # lightest edge from the forest grown so far
+    key = np.full(n, np.inf)  # lightest edge from the forest grown so far; inf inside it
     outside = np.ones(n, dtype=bool)
     order = np.empty(n, dtype=np.intp)
+    h = np.empty(n)
     for k in range(n):
-        rest = np.flatnonzero(outside)
-        # with no finite edge into the rest, argmin picks its first vertex: a new tree
-        v = int(rest[np.argmin(best[rest])])
-        order[k] = v
+        v = int(key.argmin())  # the first of the lightest, as ties go
+        if key[v] == np.inf:  # no finite edge into the rest: its first vertex starts a new tree
+            v = int(outside.argmax())
+        order[k], h[k] = v, key[v]
         outside[v] = False
+        key[v] = np.inf
         row = w[v]
-        closer = outside & np.isfinite(row) & (row < best)
-        best[closer] = row[closer]
-    return order, best[order]
+        closer = outside & np.isfinite(row) & (row < key)
+        key[closer] = row[closer]
+    return order, h
+
+
+def _fill(order: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """A* from its :func:`_dendrogram`, in ``h``'s dtype, with a zero diagonal.
+
+    The vertex at position k gets max(h[j+1..k]) to the vertex at each
+    earlier position j, in row and column.
+    """
+    out = np.zeros((h.size, h.size), dtype=h.dtype)
+    for k in range(1, h.size):
+        # the running max of h[k], h[k-1], ..., h[1], read back to front
+        out[order[k], order[:k]] = out[order[:k], order[k]] = np.maximum.accumulate(h[k:0:-1])[::-1]
+    return out
 
 
 def minimax_oracle(weights) -> np.ndarray:
@@ -408,10 +497,9 @@ def minimax_oracle(weights) -> np.ndarray:
     For each pair the minimum over connecting paths of the largest edge
     weight; ``inf`` between disconnected components; infinite weights are
     not edges, and NaN raises ``ValidationError``.  The result is filled
-    from the :func:`_dendrogram` of a dense Prim sweep in O(n^2): the vertex
-    at position k gets max(h[j+1..k]) to the vertex at each earlier
-    position j.  Where -0.0 and 0.0 weights tie for a pair's largest edge,
-    which of the two zeros the pair gets is unspecified.
+    from the :func:`_dendrogram` of a dense Prim sweep in O(n^2) by
+    :func:`_fill`.  Where -0.0 and 0.0 weights tie for a pair's largest
+    edge, which of the two zeros the pair gets is unspecified.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -421,53 +509,56 @@ def minimax_oracle(weights) -> np.ndarray:
         raise ValidationError(f"minimax_oracle requires a matrix without NaN, got one at ({i}, {j})")
     if not np.array_equal(w, w.T):
         raise ValidationError("weight matrix must be symmetric")
-    order, h = _dendrogram(w)
-    out = np.full(w.shape, np.inf)
-    np.fill_diagonal(out, 0.0)
-    for k in range(1, w.shape[0]):
-        # the running max of h[k], h[k-1], ..., h[1], read back to front
-        out[order[k], order[:k]] = out[order[:k], order[k]] = np.maximum.accumulate(h[k:0:-1])[::-1]
-    return out
+    return _fill(*_dendrogram(w))
 
 
-def _star_levels(a: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of A* = ``minimax_oracle(a)``, without filling it.
+def _star_levels(h: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of A*, from its dendrogram's join heights ``h``.
 
-    They are 0 (the diagonal) and the dendrogram's join heights after the
-    first, which is always ``inf``: each merge joins its two parts at its
-    height, and a later ``inf`` starts a second tree.
+    They are 0 (the diagonal) and the join heights after the first, which
+    is always ``inf``: each merge joins its two parts at its height, and a
+    later ``inf`` starts a second tree.
     """
-    _, h = _dendrogram(a)
     return np.unique(np.append(h[1:], 0.0))
 
 
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:
-    levels = _star_levels(a)
+    order, h = _dendrogram(a)
+    levels = _star_levels(h)
     codes = _level_codes(a, levels)
+    fixpoint, m = _doubling_search(codes, _fill(order, np.searchsorted(levels, h).astype(codes.dtype)))
+    return levels[fixpoint], m
+
+
+def _doubling_search(codes: np.ndarray, star: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star``.
+
+    Only the fixpoint outlives the call, so the powers and masks are freed
+    before it is decoded.
+    """
+    few = codes.max() <= _FEW_LEVELS  # so is every power's top code
+    # live: the rows of a power that differ from A*; differ: those entries
+    live, differ = _drop_settled(np.arange(codes.shape[0]), codes != star)
     # sqs[t] = A^(2^t); square until a squaring changes nothing, so that
-    # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  live: the
-    # rows the last squaring changed; every other row already equals A*'s
-    sqs, live = [codes], np.arange(a.shape[0])
+    # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  A^(2k) equals
+    # A^k only when A^k is A*, so that is the squaring of zero live rows
+    sqs = [codes]
     while True:
-        q = _live_product(sqs[-1], sqs[-1], live)
-        changed = _differing_rows(q, sqs[-1], live)
-        if changed.size == 0:
+        q, qlive, qdiffer = _settle(sqs[-1], sqs[-1], star, live, differ, few)
+        if np.array_equal(q, sqs[-1]):
             break
         sqs.append(q)
-        live = changed
-    star = sqs[-1]
+        last, (live, differ) = (live, differ), (qlive, qdiffer)
     if len(sqs) == 1:
-        return levels[star], 1
+        return codes, 1
     # binary lifting: grow k from 2^(T-1) to m - 1, the last power short of
-    # A*, adding each lower power of two that keeps A^k != A*; live: the
-    # rows where p = A^k still differs from A* (those of the last squaring)
-    k, p = 1 << (len(sqs) - 2), sqs[-2]
+    # A*, adding each lower power of two that keeps A^k != A*
+    k, p, (live, differ) = 1 << (len(sqs) - 2), sqs[-2], last
     for t in range(len(sqs) - 3, -1, -1):
-        q = _live_product(p, sqs[t], live)
-        differ = _differing_rows(q, star, live)
-        if differ.size:
-            k, p, live = k + (1 << t), q, differ
-    return levels[star], k + 1
+        q, qlive, qdiffer = _settle(p, sqs[t], star, live, differ, few)
+        if qlive.size:
+            k, p, live, differ = k + (1 << t), q, qlive, qdiffer
+    return sqs[-1], k + 1
 
 
 def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
@@ -480,23 +571,27 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     spanning forest's edge weights, and inf between trees) below v, as uint8
     for fewer than 256 values and uint16 up to 65535.  That map is
     non-decreasing, so it commutes with min and max; and A^k >= A*
-    entrywise, so A^k == A* exactly when their codes are equal.  The code chain thus has the same m, and its fixpoint
-    decodes to A*.  The stop rule compares powers with each other, never
-    with the sweep.  Both strategies return identical results.
+    entrywise, so A^k == A* exactly when their codes are equal.  The code
+    chain thus has the same m, and its fixpoint decodes to A*.  Both
+    strategies return identical results.
 
-    Each ``doubling`` product multiplies only the rows that can still change.
-    A row is settled by either of two facts about the chain's own powers:
-
-    - squaring: if row i of A^(2k) equals row i of A^k, it equals row i of
-      A^(jk) for every j (row i of A^(3k) is row i of A^(2k)·A^k, which is
-      row i of A^k·A^k; induct), so it is already row i of A*;
-    - lifting: if row i of A^k equals row i of A*, so does row i of
-      A^k·A^(2^t), since A* <= A^(k+2^t) <= A^k entrywise.
-
-    Every power of a symmetric matrix is symmetric, so a settled row is also
-    a settled column: a product over R live rows is the R x R block
-    ``minmax_product(P[live], Q[:, live])`` of R^2·n element-ops instead of
-    n^3, and settled rows are copied through.
+    Each ``doubling`` product computes only what can still change.  The
+    sweep's dendrogram also fills A*'s codes once (:func:`_fill`), and
+    since A* <= A^(k+j) <= A^k entrywise, an entry of A^k equal to A*'s
+    stays equal in every later power.  So a product computes only the
+    entries where its left power still differs from A*, and the rows that
+    hold them are its live rows; the comparison of its result with A* gives
+    the next product's live rows and entries.  Every power of a symmetric
+    matrix is symmetric, so a settled row is also a settled column: over R
+    live rows a product is either the R x R block
+    ``minmax_product(P[live], Q[:, live])`` of R^2·n element-ops, or, when
+    few of the block's entries are live and the codes have more than
+    ``_FEW_LEVELS`` values, one triangle of those entries at n element-ops
+    each, mirrored.  Settled entries are copied through.  The stop rule
+    stays the paper's: square until the square equals the power squared.
+    A^(2k) equals A^k only when A^k is the fixpoint, so that squaring is
+    the one over zero live rows, and it costs nothing.  The result decodes
+    the last power of the chain, not the fill.
     """
     a = validate_dissimilarity(a)
     if strategy == "linear":

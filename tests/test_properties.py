@@ -1,9 +1,10 @@
 """Property tests: the spanning-forest sweep gives the (min, max) Floyd-Warshall
 closure of any symmetric weights, the level-code doubling search and the sweep
 agree with the float chain, both strategies' m is the largest hop count of a
-minimax path, the facts by which doubling settles rows hold
-on the float powers, few-level codes multiply as the broadcast kernel
-multiplies their float copies, a product by the transpose matches the
+minimax path, the facts by which doubling settles rows and entries hold
+on the float powers, the sweep joins vertices as a scan of the outside
+ones did, few-level codes multiply as the broadcast kernel multiplies
+their float copies, a product by the transpose matches the
 naive product on every kernel, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
 clusterings nest, the spanning forest's dendrogram gives the histograms
@@ -110,7 +111,8 @@ def two_components(n):
 @example(two_components(5))  # two trees
 @example(tree_dissim(40, 3, True))  # an isolated point
 def test_levels_are_the_distinct_values_of_the_fixpoint(a):
-    assert semiring._star_levels(a).tobytes() == np.unique(minimax_oracle(a)).tobytes()
+    _, h = semiring._dendrogram(a)
+    assert semiring._star_levels(h).tobytes() == np.unique(minimax_oracle(a)).tobytes()
 
 
 def minimax_closure(w):
@@ -152,6 +154,37 @@ def test_oracle_is_the_minimax_closure(w):
     assert np.array_equal(minimax_oracle(w), minimax_closure(w))
 
 
+def sweep_over_the_rest(w):
+    """The dense Prim sweep that gathers the outside vertices at every step."""
+    n = w.shape[0]
+    best = np.full(n, np.inf)
+    outside = np.ones(n, dtype=bool)
+    order = np.empty(n, dtype=np.intp)
+    for k in range(n):
+        rest = np.flatnonzero(outside)
+        v = int(rest[np.argmin(best[rest])])
+        order[k] = v
+        outside[v] = False
+        row = w[v]
+        closer = outside & np.isfinite(row) & (row < best)
+        best[closer] = row[closer]
+    return order, best[order]
+
+
+@settings(max_examples=150, deadline=None)
+@given(weight_graphs())
+@example(np.zeros((1, 1)))
+@example(symmetric(5, [1.0] * 10))  # every edge ties
+@example(np.array([[0.0, 0.0, -0.0], [0.0, 0.0, 5.0], [-0.0, 5.0, 0.0]]))  # ±0 tie: the first joins
+@example(np.array([[7.0, -INF], [-INF, -1.0]]))  # no edge, nonzero diagonal: two trees
+@example(symmetric(4, [INF] * 6))  # four trees
+@example(two_components(4) - 2.0)  # two trees, shifted below 0
+def test_dendrogram_is_the_sweep_over_the_rest(w):
+    order, h = semiring._dendrogram(w)
+    want_order, want_h = sweep_over_the_rest(w)
+    assert order.tobytes() == want_order.tobytes() and h.tobytes() == want_h.tobytes()
+
+
 def assert_strategies_agree(a):
     lin, dbl = stabilize(a, "linear"), stabilize(a, "doubling")
     assert dbl.m == lin.m
@@ -160,17 +193,22 @@ def assert_strategies_agree(a):
 
 
 @settings(max_examples=200, deadline=None)
-@given(small_dissims())
-@example(np.zeros((1, 1)))  # one level
-@example(symmetric(5, [7.0] * 10))  # two levels, 0 and 7
-@example(symmetric(4, [INF] * 6))  # two levels, 0 and inf
-@example(path_dissim(9))  # the middle rows settle last
-@example(hub_dissim(7))  # every row settles after one squaring
-@example(two_components(5))  # rows settle per component
+@given(small_dissims(), st.booleans())
+@example(np.zeros((1, 1)), False)  # one level
+@example(symmetric(5, [7.0] * 10), False)  # two levels, 0 and 7
+@example(symmetric(4, [INF] * 6), False)  # two levels, 0 and inf
+@example(path_dissim(9), False)  # the middle rows settle last
+@example(hub_dissim(7), False)  # every row settles after one squaring
+@example(two_components(5), False)  # rows settle per component
 # codes 0..3: every product, the 32- and 12-row live blocks too, takes the 0/1 path
-@example(pairwise_matrix(lattice_generate(LatticeConfig(3, 3, 2, 2))))
-def test_doubling_matches_linear(a):
-    assert_strategies_agree(a)
+@example(pairwise_matrix(lattice_generate(LatticeConfig(3, 3, 2, 2))), True)
+@example(tree_dissim(12, 3, True), True)  # 12 levels, inf among them
+def test_doubling_matches_linear(a, entries):
+    # with ``entries`` every many-level product of the doubling search computes
+    # single entries, one row of p to a block
+    cost, block = (0, a.shape[0]) if entries else (semiring._SPARSE_COST, semiring._BLOCK_BYTES)
+    with mock.patch.object(semiring, "_SPARSE_COST", cost), mock.patch.object(semiring, "_BLOCK_BYTES", block):
+        assert_strategies_agree(a)
 
 
 @settings(max_examples=100, deadline=None)
@@ -183,7 +221,11 @@ def test_rows_settle_as_stabilize_assumes(a, k, j):
     assert np.array_equal(pk[kept], star[kept])
     # lifting: a row of A^k equal to A*'s stays so in A^(k+j)
     done = np.all(pk == star, axis=1)
-    assert np.array_equal(power(a, k + j)[done], star[done])
+    pkj = power(a, k + j)
+    assert np.array_equal(pkj[done], star[done])
+    # and so does an entry: products compute only the entries above A*'s
+    same = pk == star
+    assert np.array_equal(pkj[same], star[same])
 
 
 @settings(max_examples=6, deadline=None)
@@ -244,7 +286,7 @@ def banded(n, top, dtype=np.uint16):
 
 
 def live_block(p, q, live):
-    """The operands of ``_live_product(p, q, live)``'s rectangular product."""
+    """The operands of the rectangular product of ``p`` and ``q`` over the ``live`` rows."""
     return p[live], q[:, live]
 
 

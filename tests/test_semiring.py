@@ -260,6 +260,20 @@ class TestStabilize:
         assert all(x[1] == y[0] == n and x[0] == y[1] for x, y in shapes)
         assert sum(x[0] * x[1] * y[1] for x, y in shapes) < calls * n**3
 
+    def test_doubling_computes_only_the_entries_above_the_fixpoint(self, rng, monkeypatch):
+        # a many-level input (200 levels): late products compute single entries
+        entries = []
+
+        def recorded(p, b, star, live, upper, out, _orig=semiring._entry_product):
+            entries.append(np.count_nonzero(upper))
+            return _orig(p, b, star, live, upper, out)
+
+        monkeypatch.setattr(semiring, "_entry_product", recorded)
+        a = random_dissim(rng, 200)
+        dbl, lin = stabilize(a), stabilize(a, "linear")
+        assert entries and all(e > 0 for e in entries)
+        assert dbl.m == lin.m and dbl.star.tobytes() == lin.star.tobytes()
+
     def test_m_bound(self, rng):
         for _ in range(25):
             n = int(rng.integers(2, 24))
