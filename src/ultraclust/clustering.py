@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import _check_memory
-from .errors import NotUltrametricError, ValidationError
+from .errors import NotUltrametricError, ValidationError, _check_integer
 from .ultrametric import is_ultrametric
 from .semiring import validate_dissimilarity
 
@@ -45,8 +46,9 @@ class Clustering:
 
 
 def _check_radius(r: float) -> None:
-    # written so that NaN, which fails every comparison, is rejected too
-    if not r >= 0:
+    # written so that NaN, which fails every comparison, is rejected too,
+    # and a string or None before it reaches the comparison
+    if not isinstance(r, numbers.Real) or not r >= 0:
         raise ValidationError(f"radius must be a nonnegative number, got {r}")
 
 
@@ -54,8 +56,7 @@ def closed_sphere(a, center: int, r: float) -> set[int]:
     """Indices within distance r of the center (the center always included)."""
     a = validate_dissimilarity(a)
     n = a.shape[0]
-    if isinstance(center, bool) or not isinstance(center, (int, np.integer)):
-        raise ValidationError(f"center must be an integer index, got {center!r}")
+    _check_integer(center, "center must be an integer index")
     if not 0 <= center < n:
         raise ValidationError(f"center {center} out of range for order {n}")
     _check_radius(r)
@@ -169,8 +170,7 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
     elif mode == "binned":
         if bins is None:
             bins = max(1, math.ceil(math.sqrt(max(vals.size, 1))))
-        if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)):
-            raise ValidationError(f"bins must be an integer, got {bins!r}")
+        _check_integer(bins, "bins must be an integer")
         if bins < 1:
             raise ValidationError(f"bins must be positive, got {bins}")
         need = 16 * int(bins) + 8  # float64 edges, int64 counts
@@ -203,6 +203,7 @@ def estimate_num_clusters(p: int) -> int:
 
     p = 0 is read as "no between-cluster structure" and yields 1.
     """
+    _check_integer(p, "peak count must be an integer")
     if p < 0:
         raise ValidationError(f"peak count must be nonnegative, got {p}")
     if p == 0:
@@ -218,6 +219,7 @@ def radii_from_valleys(h: DistanceHistogram, k: int) -> tuple[list[float], bool]
     midpoints of detected valley bins.  Returns ``(radii, shortfall)``
     where ``shortfall`` is True when fewer than k valleys exist.
     """
+    _check_integer(k, "k must be an integer")
     if k < 1:
         raise ValidationError(f"k must be positive, got {k}")
     mids = (h.values[:-1] + h.values[1:]) / 2.0

@@ -2,8 +2,7 @@
 
 Matrices are float64 numpy arrays, or unsigned level codes inside
 :func:`stabilize` and ``is_ultrametric``; ``numpy.inf`` is the
-distinguished infinity element.
-The product
+distinguished infinity element.  The product
 
     C[i, j] = min over k of max(A[i, k], B[k, j])
 
@@ -13,14 +12,16 @@ with few distinct values multiply as one 0/1 float32 matrix product per
 value (BLAS ``sgemm``), whose zero pattern is exact.  When few entries of
 the left operand lie below ``top``, the largest entry of both operands, a
 row-sparse kernel multiplies only those: a term max(a[i,k], b[k,j]) with
-a[i,k] == top is never below another term.  All other operands go through
-a blocked broadcast kernel.  A product by the operand's own transpose, such
-as every squaring of a symmetric power, computes one triangle of its
-symmetric result and mirrors it.  The fixpoint A* is the single-linkage
-cophenetic matrix: one dense Prim sweep, :func:`_dendrogram`, gives it as a
-join order and join heights, from which :func:`_fill` builds A*, as floats
-for :func:`minimax_oracle` and as level codes for :func:`stabilize`, whose
-products compute only the entries of a power still above A*'s.
+a[i,k] == top is never below another term.  It gathers in the blocks of one
+walker, :func:`_packed`, as does :func:`stabilize`'s entry kernel.  All
+other operands go through a blocked broadcast kernel.  A product by the
+operand's own transpose, such as every squaring of a symmetric power,
+computes one triangle of its symmetric result and mirrors it.  The fixpoint
+A* is the single-linkage cophenetic matrix: one dense Prim sweep,
+:func:`_dendrogram`, gives it as a join order and join heights, from which
+:func:`_fill` builds A*, as floats for :func:`minimax_oracle` and as level
+codes for :func:`stabilize`, whose products compute only the entries of a
+power still above A*'s.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 
 __all__ = [
     "StabilizationResult",
@@ -132,9 +133,8 @@ def minmax_product(a, b) -> np.ndarray:
     top, so C[i,j] is the min over the entries of row i below top, or top
     when the row has none.  Deleting terms equal to top changes no value,
     and without -0.0 equal values have equal bytes, so the result is the
-    broadcast kernel's, byte for byte.  Each row's (column, value) pairs
-    are packed and padded with top, rows of similar width share a block,
-    and the block's (rows, width, p) gather of ``b`` takes about
+    broadcast kernel's, byte for byte.  :func:`_packed` packs the entries
+    below top, and each block's (rows, w, p) gather of ``b`` takes about
     ``_BLOCK_BYTES``.  With w_i entries below top in row i the path costs
     sum(w_i)·p element-ops against R·n·p for the broadcast kernel, R·n·p/2
     for a squaring, and it is taken when it costs ``_SPARSE_COST`` times
@@ -163,6 +163,8 @@ def minmax_product(a, b) -> np.ndarray:
         raise ValidationError(
             f"dimension mismatch: {a.shape} cannot multiply {b.shape}"
         )
+    if a.shape[1] == 0 < a.shape[0]:
+        raise ValidationError(f"empty inner dimension: {a.shape} by {b.shape} has no entry to take")
     signed = a.dtype.kind != "u" and bool(np.signbit(a).any() or np.signbit(b).any())
     symmetric = not signed and a.shape == b.shape[::-1] and np.array_equal(a, b.T)
     if a.size and b.size:
@@ -187,31 +189,43 @@ def minmax_product(a, b) -> np.ndarray:
     return out
 
 
-def _sparse_product(a: np.ndarray, b: np.ndarray, top, widths: np.ndarray) -> np.ndarray:
-    """Min-max product over the ``widths[i]`` entries of each row of ``a`` below ``top``.
+def _packed(widths: np.ndarray, mask_of, row_bytes):
+    """Blocks of a mask's True entries, packed row by row for a gather kernel.
 
-    Rows are taken widest first; a block of them is packed into (rows, w)
-    columns and values, padded with column 0 and value ``top``, where w is
-    the width of its first, widest row.  Rows with no entry below ``top``
-    stay ``top``.
+    ``widths[i]`` counts row i's True entries; ``mask_of(rows)`` returns those
+    rows of the mask.  Rows with entries go widest first, and a block starts
+    at a row of width w with as many rows as fit in ``_BLOCK_BYTES`` at
+    ``row_bytes(w)`` bytes each (at least one).  A block yields its ``rows``;
+    each entry's row ``r`` in the block, column ``k`` and ``place`` in its
+    row, row by row; and the (rows, w) ``cols``, cols[r, place] = k, padded
+    with column 0, which a kernel gathers through but keeps out of its results.
     """
-    n, p = a.shape[1], b.shape[1]
-    out = np.full((a.shape[0], p), top, dtype=a.dtype)
     order = np.argsort(-widths, kind="stable")[: np.count_nonzero(widths)]
     s = 0
     while s < order.size:
         w = int(widths[order[s]])
-        rows = order[s : s + max(1, _BLOCK_BYTES // (a.itemsize * (n + w * p)))]
+        rows = order[s : s + max(1, _BLOCK_BYTES // row_bytes(w))]
         s += rows.size
-        sub = a[rows]
-        # the entries below top, row by row and in column order, and each
-        # entry's place among those of its row
-        r, k = np.divmod(np.flatnonzero(sub != top), n)
+        mask = mask_of(rows)
+        r, k = np.divmod(np.flatnonzero(mask), mask.shape[1])
+        del mask  # freed before the kernel's gather
         place = np.arange(r.size) - (np.cumsum(widths[rows]) - widths[rows])[r]
         cols = np.zeros((rows.size, w), dtype=np.intp)
-        vals = np.full((rows.size, w), top, dtype=a.dtype)
         cols[r, place] = k
-        vals[r, place] = sub[r, k]
+        yield rows, r, k, place, cols
+
+
+def _sparse_product(a: np.ndarray, b: np.ndarray, top, widths: np.ndarray) -> np.ndarray:
+    """Min-max product over the ``widths[i]`` entries of each row of ``a`` below ``top``.
+
+    The :func:`_packed` values are padded with ``top``, which changes no
+    min, and rows with no entry below ``top`` stay ``top``.
+    """
+    out = np.full((a.shape[0], b.shape[1]), top, dtype=a.dtype)
+    blocks = _packed(widths, lambda rows: a[rows] != top, lambda w: a[0].nbytes + w * b[0].nbytes)
+    for rows, r, k, place, cols in blocks:
+        vals = np.full(cols.shape, top, dtype=a.dtype)
+        vals[r, place] = a[rows[r], k]
         terms = b[cols]  # (rows, w, p): row cols[i, t] of b
         np.maximum(vals[:, :, None], terms, out=terms)
         out[rows] = terms.min(axis=1)
@@ -261,6 +275,7 @@ def _threshold_product(a: np.ndarray, b: np.ndarray, top: int, symmetric: bool) 
 
 def identity(n: int) -> np.ndarray:
     """Multiplicative identity: zero diagonal, infinity elsewhere."""
+    _check_integer(n, "identity order must be an integer")
     if n < 1:
         raise ValidationError(f"identity order must be positive, got {n}")
     e = np.full((n, n), np.inf)
@@ -285,6 +300,7 @@ def power(a, k: int) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"power requires a square matrix, got {a.shape}")
+    _check_integer(k, "power exponent must be an integer")
     if k < 0:
         raise ValidationError(f"power exponent must be nonnegative, got {k}")
     if np.isnan(a).any():
@@ -418,28 +434,15 @@ def _entry_product(
 
     p and b are powers of one symmetric matrix, so p·b is symmetric and
     column j of b is its row j: entry (i, j) is the min over k of
-    max(p[i, k], b[j, k]), one row of p against one row of b.  Rows are
-    taken widest first, as in :func:`_sparse_product`; a block of them packs
-    its columns into (rows, w), padded with column 0, where w is the width
-    of its first, widest row, and the (rows, w, n) gather of b's rows takes
-    about ``_BLOCK_BYTES``.  Returns the (live, live) mask of the computed
-    entries that still differ from ``star``.
+    max(p[i, k], b[j, k]), one row of p against one row of b.  A
+    :func:`_packed` block's (rows, w, n) gather of b's rows takes about
+    ``_BLOCK_BYTES``, and its padding is not read.  Returns the (live, live)
+    mask of the computed entries that still differ from ``star``.
     """
-    n = p.shape[1]
-    widths = np.count_nonzero(upper, axis=1)
     differ = np.zeros(upper.shape, dtype=bool)
-    order = np.argsort(-widths, kind="stable")[: np.count_nonzero(widths)]
-    s = 0
-    while s < order.size:
-        w = int(widths[order[s]])
-        rows = order[s : s + max(1, _BLOCK_BYTES // (p.itemsize * w * n))]
-        s += rows.size
-        # the entries of these rows, row by row, and each entry's place in its row
-        r, c = np.nonzero(upper[rows])
-        place = np.arange(r.size) - (np.cumsum(widths[rows]) - widths[rows])[r]
-        cols = np.zeros((rows.size, w), dtype=np.intp)
-        cols[r, place] = live[c]
-        terms = b[cols]  # (rows, w, n): row cols[i, t] of b
+    blocks = _packed(np.count_nonzero(upper, axis=1), upper.__getitem__, lambda w: w * p[0].nbytes)
+    for rows, r, c, place, cols in blocks:
+        terms = b[live[cols]]  # (rows, w, n): row live[cols[i, t]] of b
         np.maximum(p[live[rows]][:, None, :], terms, out=terms)
         v = terms.min(axis=2)[r, place]
         del terms  # freed before the next block's gather

@@ -56,6 +56,11 @@ class TestClosedSphere:
     def test_infinite_radius_is_everything(self):
         assert closed_sphere(EX1, 0, float("inf")) == set(range(8))
 
+    @pytest.mark.parametrize("r", ["1", None, 1j, [1.0]])
+    def test_non_numeric_radius_rejected(self, r):
+        with pytest.raises(ValidationError, match="^radius must be a nonnegative number, got "):
+            closed_sphere(EX1, 0, r)
+
 
 class TestSphericClustering:
     def test_example1_radius6(self):
@@ -76,6 +81,14 @@ class TestSphericClustering:
 
     def test_infinite_radius_single_cluster(self):
         assert spheric_clustering(EX1, float("inf")).num_clusters == 1
+
+    @pytest.mark.parametrize("r", ["1", None, 1j, [1.0]])
+    def test_non_numeric_radius_rejected(self, r):
+        with pytest.raises(ValidationError, match="^radius must be a nonnegative number, got "):
+            spheric_clustering(EX1, r)
+
+    def test_numpy_radius(self):
+        assert spheric_clustering(EX1, np.float32(6)).clusters() == [[0, 1, 2], [3, 4], [5, 6, 7]]
 
     def test_rejects_non_ultrametric(self):
         a = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], float)
@@ -208,6 +221,14 @@ class TestEstimateNumClusters:
     def test_zero_peaks_means_one_cluster(self):
         assert estimate_num_clusters(0) == 1
 
+    @pytest.mark.parametrize("p", [2.5, 3.0, "3", True, np.bool_(True)])
+    def test_non_integer_count_rejected(self, p):
+        with pytest.raises(ValidationError, match=r"^peak count must be an integer, got "):
+            estimate_num_clusters(p)
+
+    def test_numpy_integer_count(self):
+        assert estimate_num_clusters(np.int64(3)) == 3
+
     def test_matches_brute_force(self):
         for p in range(1, 10001):
             k = estimate_num_clusters(p)
@@ -221,6 +242,14 @@ class TestRadiiFromValleys:
         radii, shortfall = radii_from_valleys(h, 2)
         assert radii == [13.0, 8.0]
         assert not shortfall
+
+    @pytest.mark.parametrize("k", [1.5, 1.0, "1", True, np.bool_(True)])
+    def test_non_integer_count_rejected(self, k):
+        with pytest.raises(ValidationError, match=r"^k must be an integer, got "):
+            radii_from_valleys(distance_histogram(EX1), k)
+
+    def test_numpy_integer_count(self):
+        assert radii_from_valleys(distance_histogram(EX1), np.int64(2)) == ([13.0, 8.0], False)
 
     def test_one_bar_shortfall(self):
         a = np.full((4, 4), 2.0)

@@ -5,7 +5,8 @@ minimax path, the facts by which doubling settles rows and entries hold
 on the float powers, the sweep joins vertices as a scan of the outside
 ones did, few-level codes multiply as the broadcast kernel multiplies
 their float copies, a product by the transpose matches the
-naive product on every kernel, the levels that code the powers are the
+naive product on every kernel, the packing walker of the gather kernels
+yields each entry of a mask once, widest rows first, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
 clusterings nest, the spanning forest's dendrogram gives the histograms
 and clusterings of A* and SciPy's single-linkage cuts, CSV files read back
@@ -427,6 +428,36 @@ def test_products_by_the_transpose_match_the_naive_product(operands, rows, spars
     few = a.dtype.kind == "u" and max(a.max(), b.max()) <= semiring._FEW_LEVELS
     if sparse and not few:
         assert len(taken) == (not (np.signbit(a).any() or np.signbit(b).any()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))), st.integers(1, 1 << 21))
+@example(np.zeros((3, 4), bool), 1)  # no entry: no block
+@example(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 1, 1]], bool), 1)  # one block
+@example(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 1, 1]], bool), semiring._BLOCK_BYTES + 1)  # a row a block
+def test_packed_blocks_hold_each_entry_once(mask, bytes_per_entry):
+    widths = np.count_nonzero(mask, axis=1)
+    row_bytes = lambda w: bytes_per_entry * w  # noqa: E731
+    seen, taken, blocks = np.zeros(mask.shape, int), [], 0
+    for rows, r, k, place, cols in semiring._packed(widths, mask.__getitem__, row_bytes):
+        w, left = widths[rows[0]], np.count_nonzero(widths) - len(taken)
+        # as many rows as the budget holds at the first row's width, at least one
+        assert rows.size == min(left, max(1, semiring._BLOCK_BYTES // row_bytes(w)))
+        assert cols.shape == (rows.size, w)
+        assert r.size == k.size == place.size == widths[rows].sum()
+        np.add.at(seen, (rows[r], k), 1)
+        assert np.array_equal(cols[r, place], k)
+        for i, row in enumerate(rows):
+            # the row's columns in order, then padding with column 0
+            assert np.array_equal(cols[i], np.pad(np.flatnonzero(mask[row]), (0, w - widths[row])))
+            assert np.array_equal(place[r == i], np.arange(widths[row]))
+        taken.extend(rows.tolist())
+        blocks += 1
+    assert np.array_equal(seen, mask)  # every True entry exactly once, nothing else
+    assert sorted(taken) == np.flatnonzero(widths).tolist()  # each row with entries once
+    assert np.all(np.diff(widths[taken]) <= 0)  # widest first
+    if bytes_per_entry > semiring._BLOCK_BYTES:
+        assert blocks == len(taken)  # a row a block
 
 
 @settings(max_examples=100, deadline=None)

@@ -102,9 +102,42 @@ class TestProduct:
             assert np.array_equal(out[:3, :4], brute_product(c[:3], b[:, :4]))
         assert taken == [1, 1]
 
+    def test_entry_products_stay_in_bounded_memory(self, rng):
+        # about 22,000 entries among 1,500 live rows of n=2000 codes: beside
+        # the (live, live) mask it returns, the entry kernel holds one block's
+        # (rows, w, n) gather of about 1 MiB at a time
+        n, r = 2000, 1500
+        p = np.triu(rng.integers(1, 1000, (n, n)), 1).astype(np.uint16)
+        p += p.T
+        live = np.sort(rng.choice(n, r, replace=False))
+        upper = np.triu(rng.random((r, r)) < 0.02, 1)
+        out = p.copy()
+        differ, peak = peak_bytes(semiring._entry_product, p, p, np.zeros_like(p), live, upper, out)
+        assert peak < differ.nbytes + 2 * 2**20
+        assert np.array_equal(differ, upper | upper.T)  # no entry of p·p off the diagonal is 0
+        i, j = live[np.argwhere(upper)[::50]].T
+        want = np.maximum(p[i], p[j]).min(axis=1)
+        assert np.array_equal(out[i, j], want) and np.array_equal(out[j, i], want)
+        computed = np.zeros((n, n), bool)
+        computed[np.ix_(live, live)] = differ
+        assert np.array_equal(out[~computed], p[~computed])
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             minmax_product(np.zeros((2, 3)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("dtype", [float, np.uint8])
+    @pytest.mark.parametrize("shapes", [((3, 0), (0, 4)), ((3, 0), (0, 3)), ((3, 0), (0, 0))])
+    def test_empty_inner_dimension_rejected(self, shapes, dtype):
+        # no k to take the min over, so no entry of a or b to give
+        with pytest.raises(ValidationError, match=r"^empty inner dimension: "):
+            minmax_product(np.zeros(shapes[0], dtype), np.zeros(shapes[1], dtype))
+
+    @pytest.mark.parametrize("dtype", [float, np.uint8])
+    @pytest.mark.parametrize("shapes", [((0, 3), (3, 2)), ((2, 3), (3, 0)), ((0, 0), (0, 4))])
+    def test_empty_result(self, shapes, dtype):
+        c = minmax_product(np.zeros(shapes[0], dtype), np.zeros(shapes[1], dtype))
+        assert c.shape == (shapes[0][0], shapes[1][1]) and c.dtype == dtype
 
     def test_associativity(self, rng):
         for _ in range(10):
@@ -133,6 +166,14 @@ class TestIdentity:
     def test_zero_order_rejected(self):
         with pytest.raises(ValidationError):
             identity(0)
+
+    @pytest.mark.parametrize("n", [2.5, 2.0, "2", True, np.bool_(True)])
+    def test_non_integer_order_rejected(self, n):
+        with pytest.raises(ValidationError, match=r"^identity order must be an integer, got "):
+            identity(n)
+
+    def test_numpy_integer_order(self):
+        assert np.array_equal(identity(np.int64(2)), identity(2))
 
 
 class TestOrder:
@@ -179,6 +220,14 @@ class TestPower:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             power(A3, -1)
+
+    @pytest.mark.parametrize("k", [2.5, 2.0, "2", True, np.bool_(True)])
+    def test_non_integer_exponent_rejected(self, k):
+        with pytest.raises(ValidationError, match=r"^power exponent must be an integer, got "):
+            power(A3, k)
+
+    def test_numpy_integer_exponent(self):
+        assert np.array_equal(power(A3, np.int64(2)), A3_SQ)
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_nan_rejected(self, k):
