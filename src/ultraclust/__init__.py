@@ -9,9 +9,10 @@ cluster-count estimates.
 The package exports exactly the names in its modules' ``__all__`` lists.
 """
 
-from . import clustering, data, errors, semiring, ultrametric
+from . import clustering, data, dendrogram, errors, semiring, ultrametric
 from .clustering import *  # noqa: F403
 from .data import *  # noqa: F403
+from .dendrogram import *  # noqa: F403
 from .errors import *  # noqa: F403
 from .semiring import *  # noqa: F403
 from .ultrametric import *  # noqa: F403
@@ -21,6 +22,7 @@ __version__ = "0.1.0"
 __all__ = []
 __all__ += clustering.__all__
 __all__ += data.__all__
+__all__ += dendrogram.__all__
 __all__ += errors.__all__
 __all__ += semiring.__all__
 __all__ += ultrametric.__all__

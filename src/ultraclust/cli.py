@@ -13,13 +13,7 @@ import sys
 
 import numpy as np
 
-from .clustering import (
-    _dendrogram_cut,
-    _dendrogram_histogram,
-    distance_histogram,
-    estimate_num_clusters,
-    radii_from_valleys,
-)
+from .clustering import distance_histogram, estimate_num_clusters, radii_from_valleys
 from .data import (
     LatticeConfig,
     _save_table_csv,
@@ -30,8 +24,9 @@ from .data import (
     save_matrix_csv,
     save_points_csv,
 )
+from .dendrogram import Dendrogram
 from .errors import ValidationError
-from .semiring import _dendrogram, power_chain, stabilize
+from .semiring import power_chain, stabilize
 from .ultrametric import subdominant
 
 EXIT_OK = 0
@@ -101,9 +96,9 @@ def cmd_ultrametric(args) -> int:
 
 def cmd_cluster(args) -> int:
     # A*'s dendrogram from one spanning-forest sweep: no min-max product, no n^2 A*
-    order, heights = _dendrogram(_load_matrix(args))
+    dendrogram = Dendrogram.from_matrix(_load_matrix(args))
     if args.radius == "auto":
-        radius = _auto_radius(_dendrogram_histogram(heights))
+        radius = _auto_radius(dendrogram.histogram())
         if radius is None:
             radius = 0.0  # single distance level: everything merges below it
     else:
@@ -111,7 +106,7 @@ def cmd_cluster(args) -> int:
             radius = float(args.radius)
         except ValueError:
             raise ValidationError(f"invalid radius {args.radius!r}") from None
-    assignment = _dendrogram_cut(order, heights, radius)
+    assignment = dendrogram.cut(radius)
     table = np.column_stack((np.arange(assignment.size), assignment))
     np.savetxt(args.output or sys.stdout, table, fmt="%d", delimiter=",")
     return EXIT_OK

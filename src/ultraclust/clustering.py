@@ -3,19 +3,17 @@
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import _check_memory
-from .errors import NotUltrametricError, ValidationError, _check_integer
-from .ultrametric import is_ultrametric
+from .dendrogram import Dendrogram, DistanceHistogram
+from .errors import NotUltrametricError, ValidationError, _check_integer, _check_radius
 from .semiring import validate_dissimilarity
 
 __all__ = [
     "Clustering",
-    "DistanceHistogram",
     "closed_sphere",
     "distance_histogram",
     "estimate_num_clusters",
@@ -45,13 +43,6 @@ class Clustering:
         return out
 
 
-def _check_radius(r: float) -> None:
-    # written so that NaN, which fails every comparison, is rejected too,
-    # and a string or None before it reaches the comparison
-    if not isinstance(r, numbers.Real) or not r >= 0:
-        raise ValidationError(f"radius must be a nonnegative number, got {r}")
-
-
 def closed_sphere(a, center: int, r: float) -> set[int]:
     """Indices within distance r of the center (the center always included)."""
     a = validate_dissimilarity(a)
@@ -66,22 +57,21 @@ def closed_sphere(a, center: int, r: float) -> set[int]:
 def spheric_clustering(u, r: float) -> Clustering:
     """Partition an ultrametric space into closed spheres of radius r.
 
-    Points i and j share a cluster iff u[i][j] <= r.  Only ultrametric
-    input guarantees this relation is transitive, so anything else is
-    rejected.
+    Points i and j share a cluster iff u[i][j] <= r, and clusters are
+    numbered in order of their smallest member.  Only ultrametric input
+    guarantees this relation is transitive, so anything else is rejected.
+    The subdominant ultrametric is the largest one below u, so u is
+    ultrametric exactly when the fill of its single-linkage dendrogram
+    gives u back; the clusters are then that dendrogram's cut at r.
     """
-    if not is_ultrametric(u):  # validates u too
+    u = validate_dissimilarity(u)
+    d = Dendrogram.from_matrix(u)
+    if not np.array_equal(d.fill(), u):
         raise NotUltrametricError(
             "spheric clustering requires an ultrametric matrix; "
             "apply subdominant() first"
         )
-    _check_radius(r)
-    u = np.asarray(u, dtype=float)
-    # u <= r is an equivalence relation: label each point by its cluster's
-    # smallest member, then number clusters in order of that member
-    first = np.argmax(u <= r, axis=1)
-    assignment = np.unique(first, return_inverse=True)[1]
-    return Clustering(n=u.shape[0], assignment=assignment, radius=float(r))
+    return Clustering(n=u.shape[0], assignment=d.cut(r), radius=float(r))
 
 
 def is_perfect_clustering(a, c: Clustering) -> bool:
@@ -109,29 +99,6 @@ def is_perfect_clustering(a, c: Clustering) -> bool:
     vals = a[iu, ju]
     # an empty side holds vacuously, even against within-cluster pairs at inf
     return bool(same.all() or not same.any() or vals[same].max() < vals[~same].min())
-
-
-@dataclass(frozen=True)
-class DistanceHistogram:
-    """Histogram of the off-diagonal pairwise values of a matrix.
-
-    In ``distinct`` mode ``values`` lists the exact distinct finite values
-    and every bar is a peak.  In ``binned`` mode ``values`` holds the bin
-    edges (one more than counts); peaks are strict local maxima and valleys
-    the minima between consecutive peaks.  ``overflow`` counts pairs at
-    infinity, which no bin receives.
-    """
-
-    mode: str
-    values: np.ndarray
-    counts: np.ndarray
-    peaks: np.ndarray
-    valleys: np.ndarray
-    overflow: int = 0
-
-    @property
-    def num_peaks(self) -> int:
-        return int(self.peaks.size)
 
 
 def _local_maxima(counts: np.ndarray) -> np.ndarray:
@@ -234,49 +201,3 @@ def radii_from_valleys(h: DistanceHistogram, k: int) -> tuple[list[float], bool]
         chosen = positions[:k]
     shortfall = chosen.size < k
     return sorted((float(x) for x in chosen), reverse=True), shortfall
-
-
-def _dendrogram_histogram(h: np.ndarray) -> DistanceHistogram:
-    """``distance_histogram(A*)`` from the join heights ``h`` of ``semiring._dendrogram``.
-
-    Pair (j, k), j < k, sits at max(h[j+1..k]); count it at the leftmost
-    position l of that maximum.  With p the last earlier position with
-    h >= h[l] and q the next later one with h > h[l] (n if none), those
-    pairs are the (l - p)·(q - l) with p <= j < l <= k < q.  One pass with
-    a stack finds every p and q; pairs at ``inf`` are the overflow.
-    """
-    n = h.size
-    heights = h.tolist()
-    prev, nxt, stack = [0] * n, [n] * n, []
-    for l, x in enumerate(heights):
-        while stack and heights[stack[-1]] < x:
-            nxt[stack.pop()] = l
-        prev[l] = stack[-1] if stack else 0
-        stack.append(l)
-    pos = np.arange(1, n)
-    pairs = (pos - np.array(prev[1:], dtype=int)) * (np.array(nxt[1:], dtype=int) - pos)
-    finite = np.isfinite(h[1:])
-    values, inverse = np.unique(h[1:][finite], return_inverse=True)
-    counts = np.zeros(values.size, dtype=int)
-    np.add.at(counts, inverse, pairs[finite])
-    return DistanceHistogram(
-        mode="distinct",
-        values=values,
-        counts=counts,
-        peaks=np.arange(values.size, dtype=int),
-        valleys=np.array([], dtype=int),
-        overflow=int(pairs[~finite].sum()),
-    )
-
-
-def _dendrogram_cut(order: np.ndarray, h: np.ndarray, r: float) -> np.ndarray:
-    """``spheric_clustering(A*, r).assignment`` from the ``semiring._dendrogram`` of A*."""
-    _check_radius(r)
-    starts = h > r
-    starts[0] = True  # also at r = inf, where the pairs at inf merge
-    run = np.cumsum(starts) - 1
-    # number the runs in order of their smallest member
-    first = np.minimum.reduceat(order, np.flatnonzero(starts))
-    assignment = np.empty(order.size, dtype=np.intp)
-    assignment[order] = np.unique(first, return_inverse=True)[1][run]
-    return assignment

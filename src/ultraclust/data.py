@@ -17,12 +17,13 @@ from __future__ import annotations
 
 import gzip
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_integer
 from .semiring import _BLOCK_BYTES, validate_dissimilarity
 
 # peak bytes per point of lattice_generate: four int64 indices, two float64
@@ -76,8 +77,12 @@ class LatticeConfig:
     def __post_init__(self):
         for name in ("grid_rows", "grid_cols", "cluster_rows", "cluster_cols"):
             count = getattr(self, name)
-            if not isinstance(count, (int, np.integer)) or count < 1:
+            _check_integer(count, f"{name} must be a positive integer")
+            if count < 1:
                 raise ValidationError(f"{name} must be a positive integer")
+        for name in ("spacing", "gap"):
+            if not isinstance(getattr(self, name), numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")
         if self.spacing <= 0:
             raise ValidationError("spacing must be positive")
         if self.gap < 0:

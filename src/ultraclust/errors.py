@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the integer-argument check."""
+"""Exception types shared across the package, and the integer and radius argument checks."""
 
 import numbers
 
@@ -17,3 +17,11 @@ def _check_integer(value, requirement: str) -> None:
     """Raise ``ValidationError`` unless ``value`` is a Python or numpy integer other than a bool."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ValidationError(f"{requirement}, got {value!r}")
+
+
+def _check_radius(r) -> None:
+    """Raise ``ValidationError`` unless ``r`` is a real number >= 0 (so NaN is rejected)."""
+    if not isinstance(r, numbers.Real):
+        raise ValidationError(f"radius must be a nonnegative number, got {r!r}")
+    if not r >= 0:  # NaN fails every comparison
+        raise ValidationError(f"radius must be a nonnegative number, got {r}")

@@ -7,21 +7,14 @@ distinguished infinity element.  The product
     C[i, j] = min over k of max(A[i, k], B[k, j])
 
 never creates values that are not already present in its operands, so all
-equality tests in this module are exact (no tolerances anywhere).  Codes
-with few distinct values multiply as one 0/1 float32 matrix product per
-value (BLAS ``sgemm``), whose zero pattern is exact.  When few entries of
-the left operand lie below ``top``, the largest entry of both operands, a
-row-sparse kernel multiplies only those: a term max(a[i,k], b[k,j]) with
-a[i,k] == top is never below another term.  It gathers in the blocks of one
-walker, :func:`_packed`, as does :func:`stabilize`'s entry kernel.  All
-other operands go through a blocked broadcast kernel.  A product by the
-operand's own transpose, such as every squaring of a symmetric power,
-computes one triangle of its symmetric result and mirrors it.  The fixpoint
-A* is the single-linkage cophenetic matrix: one dense Prim sweep,
-:func:`_dendrogram`, gives it as a join order and join heights, from which
-:func:`_fill` builds A*, as floats for :func:`minimax_oracle` and as level
-codes for :func:`stabilize`, whose products compute only the entries of a
-power still above A*'s.
+equality tests in this module are exact (no tolerances anywhere).
+:func:`minmax_product` chooses among its kernels: 0/1 BLAS products for
+few-level codes, a row-sparse gather, and a blocked broadcast, each
+computing one triangle of a product by the operand's own transpose.  This
+is the one semiring path, the only code that finds m; A* itself is filled
+from the spanning forest's :class:`~ultraclust.dendrogram.Dendrogram`, as
+floats for :func:`minimax_oracle` and as the level codes that
+:func:`stabilize`'s products settle against.
 """
 
 from __future__ import annotations
@@ -30,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dendrogram import Dendrogram
 from .errors import ValidationError, _check_integer
 
 __all__ = [
@@ -435,12 +429,13 @@ def _entry_product(
     p and b are powers of one symmetric matrix, so p·b is symmetric and
     column j of b is its row j: entry (i, j) is the min over k of
     max(p[i, k], b[j, k]), one row of p against one row of b.  A
-    :func:`_packed` block's (rows, w, n) gather of b's rows takes about
-    ``_BLOCK_BYTES``, and its padding is not read.  Returns the (live, live)
-    mask of the computed entries that still differ from ``star``.
+    :func:`_packed` block's (rows, n) copy of p's rows and (rows, w, n)
+    gather of b's rows take about ``_BLOCK_BYTES``, and its padding is not
+    read.  Returns the (live, live) mask of the computed entries that still
+    differ from ``star``.
     """
     differ = np.zeros(upper.shape, dtype=bool)
-    blocks = _packed(np.count_nonzero(upper, axis=1), upper.__getitem__, lambda w: w * p[0].nbytes)
+    blocks = _packed(np.count_nonzero(upper, axis=1), upper.__getitem__, lambda w: (1 + w) * p[0].nbytes)
     for rows, r, c, place, cols in blocks:
         terms = b[live[cols]]  # (rows, w, n): row live[cols[i, t]] of b
         np.maximum(p[live[rows]][:, None, :], terms, out=terms)
@@ -452,57 +447,14 @@ def _entry_product(
     return differ
 
 
-def _dendrogram(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Single-linkage dendrogram of a symmetric weight matrix, by one dense Prim sweep.
-
-    Returns the vertices in the ``order`` they join a minimum spanning forest
-    and the join height ``h[k]`` of each position: the weight of the edge by
-    which ``order[k]`` joined, or ``inf`` where it starts a new tree (always
-    at k = 0).  Infinite weights are not edges.  The sweep finishes each
-    component of the edges of weight <= r before it leaves it, so every
-    single-linkage cluster is a run of consecutive positions and
-    A*[order[j], order[k]] = max(h[j+1..k]) for j < k.  O(n^2).
-    """
-    n = w.shape[0]
-    key = np.full(n, np.inf)  # lightest edge from the forest grown so far; inf inside it
-    outside = np.ones(n, dtype=bool)
-    order = np.empty(n, dtype=np.intp)
-    h = np.empty(n)
-    for k in range(n):
-        v = int(key.argmin())  # the first of the lightest, as ties go
-        if key[v] == np.inf:  # no finite edge into the rest: its first vertex starts a new tree
-            v = int(outside.argmax())
-        order[k], h[k] = v, key[v]
-        outside[v] = False
-        key[v] = np.inf
-        row = w[v]
-        closer = outside & np.isfinite(row) & (row < key)
-        key[closer] = row[closer]
-    return order, h
-
-
-def _fill(order: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """A* from its :func:`_dendrogram`, in ``h``'s dtype, with a zero diagonal.
-
-    The vertex at position k gets max(h[j+1..k]) to the vertex at each
-    earlier position j, in row and column.
-    """
-    out = np.zeros((h.size, h.size), dtype=h.dtype)
-    for k in range(1, h.size):
-        # the running max of h[k], h[k-1], ..., h[1], read back to front
-        out[order[k], order[:k]] = out[order[:k], order[k]] = np.maximum.accumulate(h[k:0:-1])[::-1]
-    return out
-
-
 def minimax_oracle(weights) -> np.ndarray:
     """All-pairs minimax path weights of a symmetric weighted graph.
 
     For each pair the minimum over connecting paths of the largest edge
     weight; ``inf`` between disconnected components; infinite weights are
-    not edges, and NaN raises ``ValidationError``.  The result is filled
-    from the :func:`_dendrogram` of a dense Prim sweep in O(n^2) by
-    :func:`_fill`.  Where -0.0 and 0.0 weights tie for a pair's largest
-    edge, which of the two zeros the pair gets is unspecified.
+    not edges, and NaN raises ``ValidationError``.  It is one dense Prim
+    sweep and its fill, O(n^2).  Where -0.0 and 0.0 weights tie for a
+    pair's largest edge, which of the two zeros the pair gets is unspecified.
     """
     w = np.asarray(weights, dtype=float)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -512,24 +464,15 @@ def minimax_oracle(weights) -> np.ndarray:
         raise ValidationError(f"minimax_oracle requires a matrix without NaN, got one at ({i}, {j})")
     if not np.array_equal(w, w.T):
         raise ValidationError("weight matrix must be symmetric")
-    return _fill(*_dendrogram(w))
-
-
-def _star_levels(h: np.ndarray) -> np.ndarray:
-    """The sorted distinct values of A*, from its dendrogram's join heights ``h``.
-
-    They are 0 (the diagonal) and the join heights after the first, which
-    is always ``inf``: each merge joins its two parts at its height, and a
-    later ``inf`` starts a second tree.
-    """
-    return np.unique(np.append(h[1:], 0.0))
+    return Dendrogram.from_matrix(w).fill()
 
 
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:
-    order, h = _dendrogram(a)
-    levels = _star_levels(h)
+    d = Dendrogram.from_matrix(a)
+    levels = d.levels()
     codes = _level_codes(a, levels)
-    fixpoint, m = _doubling_search(codes, _fill(order, np.searchsorted(levels, h).astype(codes.dtype)))
+    star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
+    fixpoint, m = _doubling_search(codes, star)
     return levels[fixpoint], m
 
 
@@ -578,23 +521,14 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     chain thus has the same m, and its fixpoint decodes to A*.  Both
     strategies return identical results.
 
-    Each ``doubling`` product computes only what can still change.  The
-    sweep's dendrogram also fills A*'s codes once (:func:`_fill`), and
-    since A* <= A^(k+j) <= A^k entrywise, an entry of A^k equal to A*'s
-    stays equal in every later power.  So a product computes only the
-    entries where its left power still differs from A*, and the rows that
-    hold them are its live rows; the comparison of its result with A* gives
-    the next product's live rows and entries.  Every power of a symmetric
-    matrix is symmetric, so a settled row is also a settled column: over R
-    live rows a product is either the R x R block
-    ``minmax_product(P[live], Q[:, live])`` of R^2·n element-ops, or, when
-    few of the block's entries are live and the codes have more than
-    ``_FEW_LEVELS`` values, one triangle of those entries at n element-ops
-    each, mirrored.  Settled entries are copied through.  The stop rule
-    stays the paper's: square until the square equals the power squared.
-    A^(2k) equals A^k only when A^k is the fixpoint, so that squaring is
-    the one over zero live rows, and it costs nothing.  The result decodes
-    the last power of the chain, not the fill.
+    Each ``doubling`` product computes only what can still change: the
+    sweep's dendrogram fills A*'s codes once, and since A* <= A^(k+j) <= A^k
+    entrywise, an entry of A^k equal to A*'s stays equal in every later
+    power, so :func:`_settle` computes only the rows and entries where the
+    left power still differs from A*.  The stop rule stays the paper's:
+    square until the square equals the power squared, which is the
+    squaring over zero live rows and costs nothing.  The result decodes the
+    last power of the chain, not the fill.
     """
     a = validate_dissimilarity(a)
     if strategy == "linear":

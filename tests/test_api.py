@@ -1,9 +1,9 @@
 """The package namespace is exactly the union of its modules' ``__all__`` lists."""
 
 import ultraclust
-from ultraclust import clustering, data, errors, semiring, ultrametric
+from ultraclust import clustering, data, dendrogram, errors, semiring, ultrametric
 
-MODULES = (clustering, data, errors, semiring, ultrametric)
+MODULES = (clustering, data, dendrogram, errors, semiring, ultrametric)
 
 
 def test_package_all_is_the_union_of_the_modules_all():
@@ -24,3 +24,9 @@ def test_power_chain_and_the_sweep_are_public():
 
     assert power_chain is semiring.power_chain
     assert minimax_oracle is semiring.minimax_oracle is ultrametric.minimax_oracle
+
+
+def test_distance_histogram_stays_bound_in_clustering():
+    from ultraclust import DistanceHistogram
+
+    assert DistanceHistogram is dendrogram.DistanceHistogram is clustering.DistanceHistogram

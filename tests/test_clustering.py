@@ -1,6 +1,10 @@
+import re
+import sys
+
 import numpy as np
 import pytest
 
+from ultraclust import semiring
 from ultraclust import (
     Clustering,
     NotUltrametricError,
@@ -10,6 +14,7 @@ from ultraclust import (
     estimate_num_clusters,
     example1_matrix,
     is_perfect_clustering,
+    is_ultrametric,
     radii_from_valleys,
     spheric_clustering,
     subdominant,
@@ -58,7 +63,8 @@ class TestClosedSphere:
 
     @pytest.mark.parametrize("r", ["1", None, 1j, [1.0]])
     def test_non_numeric_radius_rejected(self, r):
-        with pytest.raises(ValidationError, match="^radius must be a nonnegative number, got "):
+        # the value is quoted, so a string does not read like a radius
+        with pytest.raises(ValidationError, match=f"^radius must be a nonnegative number, got {re.escape(repr(r))}$"):
             closed_sphere(EX1, 0, r)
 
 
@@ -84,7 +90,12 @@ class TestSphericClustering:
 
     @pytest.mark.parametrize("r", ["1", None, 1j, [1.0]])
     def test_non_numeric_radius_rejected(self, r):
-        with pytest.raises(ValidationError, match="^radius must be a nonnegative number, got "):
+        with pytest.raises(ValidationError, match=f"^radius must be a nonnegative number, got {re.escape(repr(r))}$"):
+            spheric_clustering(EX1, r)
+
+    @pytest.mark.parametrize("r,text", [(-1, "-1"), (-0.5, "-0.5"), (np.float64("nan"), "nan")])
+    def test_invalid_real_radius_is_shown_unquoted(self, r, text):
+        with pytest.raises(ValidationError, match=f"^radius must be a nonnegative number, got {text}$"):
             spheric_clustering(EX1, r)
 
     def test_numpy_radius(self):
@@ -94,6 +105,27 @@ class TestSphericClustering:
         a = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], float)
         with pytest.raises(NotUltrametricError):
             spheric_clustering(a, 1)
+
+    def test_makes_no_minmax_product(self, rng, monkeypatch):
+        # the check and the cut read one spanning-forest sweep
+        calls, product = [], semiring.minmax_product
+
+        def spy(a, b):
+            calls.append(a.shape)
+            return product(a, b)
+
+        for name, mod in list(sys.modules.items()):
+            if name == "ultraclust" or name.startswith("ultraclust."):
+                for attr, value in list(vars(mod).items()):
+                    if value is product:
+                        monkeypatch.setattr(mod, attr, spy)
+        u = subdominant(random_dissim(rng, 40, with_inf=True))
+        for r in (0.0, *np.unique(u).tolist()):
+            spheric_clustering(u, r)
+        with pytest.raises(NotUltrametricError):
+            spheric_clustering(random_dissim(rng, 40), 1.0)
+        assert calls == []
+        assert is_ultrametric(u) and len(calls) == 1  # the spy sees the recognition's product
 
     def test_partition_and_nesting(self, rng):
         for _ in range(10):

@@ -72,10 +72,19 @@ class TestLattice:
         with pytest.raises(ValidationError, match=f"{field} must be finite"):
             LatticeConfig(1, 1, 2, 1, **{field: value})
 
-    @pytest.mark.parametrize("counts", [(2.5, 1, 1, 1), (1, 1, 2.0, 1), (1, "2", 1, 1)])
+    @pytest.mark.parametrize("counts", [
+        (2.5, 1, 1, 1), (1, 1, 2.0, 1), (1, "2", 1, 1),
+        (True, 1, 1, 1), (1, 1, 1, np.bool_(True)),  # a bool is no count
+    ])
     def test_counts_must_be_integers(self, counts):
         with pytest.raises(ValidationError, match="must be a positive integer"):
             LatticeConfig(*counts)
+
+    @pytest.mark.parametrize("field", ["spacing", "gap"])
+    @pytest.mark.parametrize("value", ["1", None, 1j])
+    def test_spacing_and_gap_must_be_real(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be a real number, got {value!r}$"):
+            LatticeConfig(1, 1, 2, 1, **{field: value})
 
     def test_numpy_integer_counts(self):
         assert lattice_generate(LatticeConfig(np.int64(2), 1, np.uint8(1), 1)).shape == (2, 2)

@@ -9,7 +9,8 @@ naive product on every kernel, the packing walker of the gather kernels
 yields each entry of a mask once, widest rows first, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
 clusterings nest, the spanning forest's dendrogram gives the histograms
-and clusterings of A* and SciPy's single-linkage cuts, CSV files read back
+and clusterings of A* and SciPy's single-linkage cuts, spheric clusterings
+reject exactly the matrices that are not ultrametric, CSV files read back
 exactly what was written, and the float table writer writes the bytes of
 ``np.savetxt``."""
 
@@ -26,11 +27,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ultraclust import clustering, data  # noqa: E402
+from ultraclust import data  # noqa: E402
 from ultraclust import (  # noqa: E402
+    Dendrogram,
     LatticeConfig,
+    NotUltrametricError,
     distance_histogram,
     is_perfect_clustering,
+    is_ultrametric,
     lattice_generate,
     load_matrix_csv,
     load_points_csv,
@@ -112,8 +116,7 @@ def two_components(n):
 @example(two_components(5))  # two trees
 @example(tree_dissim(40, 3, True))  # an isolated point
 def test_levels_are_the_distinct_values_of_the_fixpoint(a):
-    _, h = semiring._dendrogram(a)
-    assert semiring._star_levels(h).tobytes() == np.unique(minimax_oracle(a)).tobytes()
+    assert Dendrogram.from_matrix(a).levels().tobytes() == np.unique(minimax_oracle(a)).tobytes()
 
 
 def minimax_closure(w):
@@ -181,9 +184,9 @@ def sweep_over_the_rest(w):
 @example(symmetric(4, [INF] * 6))  # four trees
 @example(two_components(4) - 2.0)  # two trees, shifted below 0
 def test_dendrogram_is_the_sweep_over_the_rest(w):
-    order, h = semiring._dendrogram(w)
+    d = Dendrogram.from_matrix(w)
     want_order, want_h = sweep_over_the_rest(w)
-    assert order.tobytes() == want_order.tobytes() and h.tobytes() == want_h.tobytes()
+    assert d.order.tobytes() == want_order.tobytes() and d.h.tobytes() == want_h.tobytes()
 
 
 def assert_strategies_agree(a):
@@ -510,8 +513,8 @@ def same_partition(x, y):
 @example(path_dissim(9))  # ties along the whole sweep
 def test_dendrogram_reads_the_fixpoint(a):
     u = subdominant(a)
-    order, h = semiring._dendrogram(a)
-    got, want = clustering._dendrogram_histogram(h), distance_histogram(u)
+    d = Dendrogram.from_matrix(a)
+    got, want = d.histogram(), distance_histogram(u)
     for field in dataclasses.fields(want):
         x, y = getattr(got, field.name), getattr(want, field.name)
         assert type(x) is type(y)
@@ -527,11 +530,52 @@ def test_dendrogram_reads_the_fixpoint(a):
         hierarchy = pytest.importorskip("scipy.cluster.hierarchy")
         z = hierarchy.linkage(a[np.triu_indices(n, 1)], method="single")
     for r in radii:
-        cut = clustering._dendrogram_cut(order, h, r)
-        ref = spheric_clustering(u, r).assignment
+        cut = d.cut(r)
+        # u <= r is an equivalence relation on an ultrametric: label each
+        # point by its cluster's smallest member, then number the clusters
+        # in order of that member
+        ref = np.unique(np.argmax(u <= r, axis=1), return_inverse=True)[1]
         assert cut.dtype == ref.dtype and np.array_equal(cut, ref)
+        assert np.array_equal(spheric_clustering(u, r).assignment, ref)
         if z is not None:
             assert same_partition(cut, hierarchy.fcluster(z, r, criterion="distance"))
+
+
+@st.composite
+def near_ultrametrics(draw):
+    """Dissimilarities, their subdominants, and subdominants with one pair moved.
+
+    The moved pair takes another value of the matrix, or inf, so ties, inf
+    holes and several trees come up often.
+    """
+    a = draw(st.one_of(small_dissims(), linkage_dissims()))
+    kind = draw(st.sampled_from(["raw", "subdominant", "moved"]))
+    if kind == "raw":
+        return a
+    u = subdominant(a)
+    n = u.shape[0]
+    if kind == "moved" and n > 1:
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        u[i, j] = u[j, i] = draw(st.sampled_from([*np.unique(u[u > 0]).tolist(), INF]))
+    return u
+
+
+@settings(max_examples=300, deadline=None)
+@given(near_ultrametrics())
+@example(np.zeros((1, 1)))  # one point
+@example(symmetric(4, [INF] * 6))  # four trees: ultrametric
+@example(two_components(3))  # two trees, not ultrametric inside either
+@example(subdominant(two_components(3)))
+@example(symmetric(3, [1.0, 1.0, 2.0]))  # 0-2 at 1, 1-2 at 2: not ultrametric
+@example(symmetric(3, [1.0, INF, INF]))  # an isolated point
+@example(symmetric(3, [1.0, INF, 1.0]))  # an inf hole inside one tree
+def test_spheric_clustering_rejects_exactly_the_non_ultrametrics(a):
+    if is_ultrametric(a):
+        for r in (0.0, *np.unique(a).tolist()):
+            assert is_perfect_clustering(a, spheric_clustering(a, r))
+    else:
+        with pytest.raises(NotUltrametricError):
+            spheric_clustering(a, 0.0)
 
 
 # 0 < x <= inf, with subnormals and the ends of the double range drawn often

@@ -121,6 +121,14 @@ class TestProduct:
         computed = np.zeros((n, n), bool)
         computed[np.ix_(live, live)] = differ
         assert np.array_equal(out[~computed], p[~computed])
+        # three entries a row: a block's (rows, n) copy of p's rows weighs
+        # as much as a third of its (rows, 3, n) gather, and counts in its budget
+        narrow = np.zeros((r, r), bool)
+        for offset in (1, 17, 301):
+            narrow[np.arange(r - offset), np.arange(offset, r)] = True
+        differ, peak = peak_bytes(semiring._entry_product, p, p, np.zeros_like(p), live, narrow, p.copy())
+        assert np.array_equal(differ, narrow | narrow.T)
+        assert peak < differ.nbytes + 1.25 * semiring._BLOCK_BYTES
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
