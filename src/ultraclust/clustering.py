@@ -199,5 +199,4 @@ def radii_from_valleys(h: DistanceHistogram, k: int) -> tuple[list[float], bool]
     else:
         positions = np.sort(mids[h.valleys])[::-1]
         chosen = positions[:k]
-    shortfall = chosen.size < k
-    return sorted((float(x) for x in chosen), reverse=True), shortfall
+    return sorted((float(x) for x in chosen), reverse=True), bool(chosen.size < k)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import _check_radius
+from .errors import ValidationError, _check_radius
 
 __all__ = ["Dendrogram", "DistanceHistogram"]
 
@@ -55,8 +55,16 @@ class Dendrogram:
     h: np.ndarray
 
     @classmethod
-    def from_matrix(cls, w: np.ndarray) -> Dendrogram:
-        """The dendrogram of a symmetric ``w`` without NaN, not checked here, by one Prim sweep, O(n^2)."""
+    def from_matrix(cls, w) -> Dendrogram:
+        """The dendrogram of a square, symmetric ``w`` without NaN (else ``ValidationError``), O(n^2)."""
+        w = np.asarray(w, dtype=float)
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValidationError(f"expected a square weight matrix, got {w.shape}")
+        if not np.array_equal(w, w.T):  # NaN equals nothing, itself included
+            if np.isnan(w).any():  # reported first, at its first position
+                i, j = np.argwhere(np.isnan(w))[0]
+                raise ValidationError(f"weight matrix must not contain NaN, got one at ({i}, {j})")
+            raise ValidationError("weight matrix must be symmetric")
         n = w.shape[0]
         key = np.full(n, np.inf)  # lightest edge from the forest grown so far; inf inside it
         outside = np.ones(n, dtype=bool)

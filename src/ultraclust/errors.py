@@ -20,8 +20,8 @@ def _check_integer(value, requirement: str) -> None:
 
 
 def _check_radius(r) -> None:
-    """Raise ``ValidationError`` unless ``r`` is a real number >= 0 (so NaN is rejected)."""
-    if not isinstance(r, numbers.Real):
+    """Raise ``ValidationError`` unless ``r`` is a real number >= 0 other than a bool (so NaN is rejected)."""
+    if isinstance(r, bool) or not isinstance(r, numbers.Real):
         raise ValidationError(f"radius must be a nonnegative number, got {r!r}")
     if not r >= 0:  # NaN fails every comparison
         raise ValidationError(f"radius must be a nonnegative number, got {r}")

@@ -11,10 +11,9 @@ equality tests in this module are exact (no tolerances anywhere).
 :func:`minmax_product` chooses among its kernels: 0/1 BLAS products for
 few-level codes, a row-sparse gather, and a blocked broadcast, each
 computing one triangle of a product by the operand's own transpose.  This
-is the one semiring path, the only code that finds m; A* itself is filled
-from the spanning forest's :class:`~ultraclust.dendrogram.Dendrogram`, as
-floats for :func:`minimax_oracle` and as the level codes that
-:func:`stabilize`'s products settle against.
+module holds only that algebra and the search for m, the one semiring path;
+the level codes of A* that :func:`stabilize`'s products settle against are
+filled from the spanning forest's :class:`~ultraclust.dendrogram.Dendrogram`.
 """
 
 from __future__ import annotations
@@ -445,26 +444,6 @@ def _entry_product(
         out[i, j] = out[j, i] = v
         differ[rows[r], c] = differ[c, rows[r]] = v != star[i, j]
     return differ
-
-
-def minimax_oracle(weights) -> np.ndarray:
-    """All-pairs minimax path weights of a symmetric weighted graph.
-
-    For each pair the minimum over connecting paths of the largest edge
-    weight; ``inf`` between disconnected components; infinite weights are
-    not edges, and NaN raises ``ValidationError``.  It is one dense Prim
-    sweep and its fill, O(n^2).  Where -0.0 and 0.0 weights tie for a
-    pair's largest edge, which of the two zeros the pair gets is unspecified.
-    """
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ValidationError(f"expected a square weight matrix, got {w.shape}")
-    if np.isnan(w).any():
-        i, j = np.argwhere(np.isnan(w))[0]
-        raise ValidationError(f"minimax_oracle requires a matrix without NaN, got one at ({i}, {j})")
-    if not np.array_equal(w, w.T):
-        raise ValidationError("weight matrix must be symmetric")
-    return Dendrogram.from_matrix(w).fill()
 
 
 def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:

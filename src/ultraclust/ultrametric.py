@@ -1,18 +1,19 @@
 """Ultrametric recognition, the subdominant ultrametric, and clusterability.
 
-The subdominant ultrametric is the all-pairs minimax path distance (the
-single-linkage cophenetic distance), so :func:`subdominant` computes it with
-the O(n^2) spanning-forest sweep of :func:`minimax_oracle`.  Only the
-stabilization power m needs the semiring's power chain, whose fixpoint the
-tests check against the sweep.
+The subdominant ultrametric is the single-linkage cophenetic distance, so
+:func:`minimax_oracle` fills it from the checked O(n^2) spanning-forest sweep
+:meth:`Dendrogram.from_matrix`, and :func:`subdominant` is that fill on a
+validated dissimilarity.  Only m needs the semiring's power chain, whose
+fixpoint the tests check against the sweep.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .dendrogram import Dendrogram
 from .errors import NotUltrametricError, ValidationError
-from .semiring import _level_codes, minimax_oracle, minmax_product, stabilize, validate_dissimilarity
+from .semiring import _level_codes, minmax_product, stabilize, validate_dissimilarity
 
 __all__ = [
     "clusterability",
@@ -34,6 +35,18 @@ def is_ultrametric(a) -> bool:
     a = validate_dissimilarity(a)
     codes = _level_codes(a, np.unique(a))
     return np.array_equal(minmax_product(codes, codes), codes)
+
+
+def minimax_oracle(weights) -> np.ndarray:
+    """All-pairs minimax path weights of a symmetric weighted graph.
+
+    For each pair the minimum over connecting paths of the largest edge
+    weight; ``inf`` between disconnected components; infinite weights are
+    not edges.  It is the fill of one checked Prim sweep, O(n^2), see
+    :meth:`Dendrogram.from_matrix`.  Where -0.0 and 0.0 weights tie for a
+    pair's largest edge, which of the two zeros the pair gets is unspecified.
+    """
+    return Dendrogram.from_matrix(weights).fill()
 
 
 def subdominant(a) -> np.ndarray:

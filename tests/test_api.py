@@ -23,7 +23,8 @@ def test_power_chain_and_the_sweep_are_public():
     from ultraclust import minimax_oracle, power_chain
 
     assert power_chain is semiring.power_chain
-    assert minimax_oracle is semiring.minimax_oracle is ultrametric.minimax_oracle
+    assert minimax_oracle is ultrametric.minimax_oracle
+    assert not hasattr(semiring, "minimax_oracle")
 
 
 def test_distance_histogram_stays_bound_in_clustering():

@@ -61,7 +61,7 @@ class TestClosedSphere:
     def test_infinite_radius_is_everything(self):
         assert closed_sphere(EX1, 0, float("inf")) == set(range(8))
 
-    @pytest.mark.parametrize("r", ["1", None, 1j, [1.0]])
+    @pytest.mark.parametrize("r", ["1", None, 1j, [1.0], True, False])
     def test_non_numeric_radius_rejected(self, r):
         # the value is quoted, so a string does not read like a radius
         with pytest.raises(ValidationError, match=f"^radius must be a nonnegative number, got {re.escape(repr(r))}$"):
@@ -88,7 +88,7 @@ class TestSphericClustering:
     def test_infinite_radius_single_cluster(self):
         assert spheric_clustering(EX1, float("inf")).num_clusters == 1
 
-    @pytest.mark.parametrize("r", ["1", None, 1j, [1.0]])
+    @pytest.mark.parametrize("r", ["1", None, 1j, [1.0], True, False])
     def test_non_numeric_radius_rejected(self, r):
         with pytest.raises(ValidationError, match=f"^radius must be a nonnegative number, got {re.escape(repr(r))}$"):
             spheric_clustering(EX1, r)
@@ -282,6 +282,8 @@ class TestRadiiFromValleys:
 
     def test_numpy_integer_count(self):
         assert radii_from_valleys(distance_histogram(EX1), np.int64(2)) == ([13.0, 8.0], False)
+        radii, shortfall = radii_from_valleys(distance_histogram(EX1), np.int64(9))
+        assert shortfall and type(shortfall) is bool
 
     def test_one_bar_shortfall(self):
         a = np.full((4, 4), 2.0)

@@ -14,7 +14,6 @@ import contextlib
 import hashlib
 import io
 import os
-import sys
 import tempfile
 
 import numpy as np
@@ -38,9 +37,9 @@ from ultraclust.cli import main
 from conftest import path_dissim, random_dissim
 
 
-def inputs(seed=1919):
+def inputs():
     """Seeded dissimilarities of order at most 70: many-level, inf holes, ties, a path, a lattice."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(1919)
     return {
         "uniform": random_dissim(rng, 60),
         "holes": random_dissim(rng, 50, with_inf=True),
@@ -50,11 +49,11 @@ def inputs(seed=1919):
     }
 
 
-def signed_graph(seed=1919, n=40):
+def signed_graph():
     """A symmetric weight matrix with negative weights and inf for missing edges."""
-    rng = np.random.default_rng(seed)
-    w = np.triu(rng.uniform(-5.0, 5.0, (n, n)), 1)
-    w[np.triu(rng.random((n, n)) < 0.2, 1)] = np.inf
+    rng = np.random.default_rng(1919)
+    w = np.triu(rng.uniform(-5.0, 5.0, (40, 40)), 1)
+    w[np.triu(rng.random((40, 40)) < 0.2, 1)] = np.inf
     w = w + w.T
     np.fill_diagonal(w, 0.0)
     return w
@@ -143,23 +142,22 @@ def cli_outputs(workdir, holes):
     The first ``generate`` writes ``pts.csv`` and the first ``ultrametric``
     ``star.csv``, which later commands read; ``holes`` is saved as ``holes.csv``.
     """
-    path = lambda name: os.path.join(workdir, name)  # noqa: E731
-    save_matrix_csv(holes, path("holes.csv"))
+    save_matrix_csv(holes, os.path.join(workdir, "holes.csv"))
     made = {"generate": "pts.csv", "ultrametric": "star.csv"}
     out = {}
     for argv in SESSION:
-        full = [path(x) if x.endswith(".csv") else x for x in argv]
-        target = made.pop(argv[0], None) or "out.txt"
-        written = _run(full + ["--output", path(target)])
-        with open(path(target), "rb") as fh:
+        full = [os.path.join(workdir, x) if x.endswith(".csv") else x for x in argv]
+        target = os.path.join(workdir, made.pop(argv[0], None) or "out.txt")
+        written = _run(full + ["--output", target])
+        with open(target, "rb") as fh:
             out["cli " + " ".join(argv)] = digest(*_run(full), *written, fh.read())
     return out
 
 
-def all_outputs(workdir, seed=1919):
-    cases = inputs(seed)
+def all_outputs(workdir):
+    cases = inputs()
     out = {f"{name} {key}": value for name, a in cases.items() for key, value in library_outputs(a).items()}
-    out["signed minimax_oracle"] = digest(minimax_oracle(signed_graph(seed)))
+    out["signed minimax_oracle"] = digest(minimax_oracle(signed_graph()))
     out.update(cli_outputs(workdir, cases["holes"]))
     return out
 
@@ -256,4 +254,3 @@ if __name__ == "__main__":
         for name, value in sorted(all_outputs(workdir).items()):
             print(f"    {name!r}: {value!r},")
         print("}")
-    sys.exit(0)

@@ -118,7 +118,7 @@ class TestMinimaxOracle:
 
     def test_nan_rejected_before_symmetry(self):
         w = np.array([[0, 1, 2], [1, 0, np.nan], [2, np.nan, 0]])
-        message = r"^minimax_oracle requires a matrix without NaN, got one at \(1, 2\)$"
+        message = r"^weight matrix must not contain NaN, got one at \(1, 2\)$"
         with pytest.raises(ValidationError, match=message):
             minimax_oracle(w)
         w[2, 1] = 4.0
