@@ -66,7 +66,7 @@ def _auto_radius(hist) -> float | None:
 def cmd_analyze(args) -> int:
     a = _load_matrix(args)
     result = stabilize(a)
-    hist = distance_histogram(result.star, mode="distinct")
+    hist = result.dendrogram.histogram()  # A*'s, from the sweep
     report = {
         "n": a.shape[0],
         "m": result.m,
@@ -112,9 +112,8 @@ def cmd_cluster(args) -> int:
     return EXIT_OK
 
 
-def _histogram_table(a: np.ndarray, args) -> np.ndarray:
+def _histogram_table(hist) -> np.ndarray:
     """(value, count) rows: the distinct values, or the bin midpoints."""
-    hist = distance_histogram(a, mode=args.mode, bins=args.bins)
     values = hist.values
     if hist.mode == "binned":
         values = (values[:-1] + values[1:]) / 2.0
@@ -125,11 +124,13 @@ def cmd_histogram(args) -> int:
     a = _load_matrix(args)
     fmt = ("%.17g", "%d")
     if args.stage == "trace":  # one histogram per distinct power A, A^2, ..., A* (m stages)
-        tables = [_histogram_table(p, args) for p in power_chain(a)]
+        tables = [_histogram_table(distance_histogram(p, args.mode, args.bins)) for p in power_chain(a)]
         table = np.vstack([np.column_stack((np.full(len(t), k), t)) for k, t in enumerate(tables, 1)])
         fmt = ("%d", *fmt)
+    elif args.stage == "stabilized":  # A*'s, from the sweep: no n^2 fill
+        table = _histogram_table(Dendrogram.from_matrix(a).histogram(args.mode, args.bins))
     else:
-        table = _histogram_table(subdominant(a) if args.stage == "stabilized" else a, args)
+        table = _histogram_table(distance_histogram(a, args.mode, args.bins))
     np.savetxt(args.output or sys.stdout, table, fmt=fmt, delimiter=",")
     return EXIT_OK
 

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import _check_memory
 from .dendrogram import Dendrogram, DistanceHistogram
 from .errors import NotUltrametricError, ValidationError, _check_integer, _check_radius
 from .semiring import validate_dissimilarity
@@ -101,68 +100,19 @@ def is_perfect_clustering(a, c: Clustering) -> bool:
     return bool(same.all() or not same.any() or vals[same].max() < vals[~same].min())
 
 
-def _local_maxima(counts: np.ndarray) -> np.ndarray:
-    # a bin beyond either end counts as empty, so an empty bin is never a peak
-    padded = np.concatenate(([0], counts, [0]))
-    return np.flatnonzero((counts > padded[:-2]) & (counts > padded[2:]))
-
-
-def _valleys_between(counts: np.ndarray, peaks: np.ndarray) -> np.ndarray:
-    valleys = []
-    for p, q in zip(peaks[:-1], peaks[1:]):
-        inside = np.arange(p + 1, q)  # nonempty: strict maxima are never adjacent
-        valleys.append(inside[np.argmin(counts[inside])])
-    return np.asarray(valleys, dtype=int)
-
-
 def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> DistanceHistogram:
     """Histogram of unordered off-diagonal pairs of a dissimilarity matrix.
 
     Distinct mode (the default, intended for stabilized matrices) counts
     each exact value; binned mode spreads finite values over ``bins``
-    equal-width bins, defaulting to ceil(sqrt(#pairs)).
+    equal-width bins, defaulting to ceil(sqrt(#pairs)).  For the subdominant
+    ultrametric, :meth:`Dendrogram.histogram` gives it from the sweep.
     """
     a = validate_dissimilarity(a)
-    n = a.shape[0]
-    vals = a[np.triu(np.ones((n, n), dtype=bool), 1)]
+    vals = a[np.triu(np.ones(a.shape, dtype=bool), 1)]
     finite = vals[np.isfinite(vals)]
-    overflow = int(vals.size - finite.size)
-
-    if mode == "distinct":
-        if bins is not None:
-            raise ValidationError("bins only apply to binned mode")
-        values, counts = np.unique(finite, return_counts=True)
-        peaks = np.arange(values.size, dtype=int)
-        valleys = np.array([], dtype=int)
-    elif mode == "binned":
-        if bins is None:
-            bins = max(1, math.ceil(math.sqrt(max(vals.size, 1))))
-        _check_integer(bins, "bins must be an integer")
-        if bins < 1:
-            raise ValidationError(f"bins must be positive, got {bins}")
-        need = 16 * int(bins) + 8  # float64 edges, int64 counts
-        _check_memory(need, f"{bins} bins need {need / 2**20:.1f} MiB of edges and counts")
-        if finite.size == 0:
-            values = np.linspace(0.0, 1.0, bins + 1)
-            counts = np.zeros(bins, dtype=int)
-        else:
-            lo, hi = float(finite.min()), float(finite.max())
-            if lo == hi:
-                hi = lo + 1.0  # single distinct value: one occupied bin
-            values = np.linspace(lo, hi, bins + 1)
-            counts, _ = np.histogram(finite, bins=values)
-        peaks = _local_maxima(counts)
-        valleys = _valleys_between(counts, peaks)
-    else:
-        raise ValidationError(f"unknown histogram mode {mode!r}")
-    return DistanceHistogram(
-        mode=mode,
-        values=values,
-        counts=counts.astype(int),
-        peaks=peaks,
-        valleys=valleys,
-        overflow=overflow,
-    )
+    values, counts = np.unique(finite, return_counts=True)
+    return DistanceHistogram.of_counts(values, counts, vals.size - finite.size, mode, bins)
 
 
 def estimate_num_clusters(p: int) -> int:

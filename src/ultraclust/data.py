@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_integer
+from .errors import ValidationError, _as_float, _check_integer, _check_memory
 from .semiring import _BLOCK_BYTES, validate_dissimilarity
 
 # peak bytes per point of lattice_generate: four int64 indices, two float64
@@ -120,32 +120,13 @@ def lattice_generate(config: LatticeConfig) -> np.ndarray:
     return pts
 
 
-def _physical_memory() -> int | None:
-    """Bytes of physical memory, or None where sysconf cannot report them."""
-    try:
-        return max(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"), 0) or None
-    except (AttributeError, ValueError, OSError):
-        return None
-
-
-def _check_memory(nbytes: int, need: str) -> None:
-    """Raise ``ValidationError`` if ``nbytes`` exceed physical memory.
-
-    ``need`` opens the message; nothing is checked where the memory cannot
-    be probed.
-    """
-    memory = _physical_memory()
-    if memory and nbytes > memory:
-        raise ValidationError(f"{need}, more than the {memory / 2**20:.1f} MiB of physical memory")
-
-
 def pairwise_matrix(points, metric: str = "manhattan") -> np.ndarray:
     """Pairwise distance matrix of a point set under the chosen metric.
 
     Two points at distance 0 (duplicates, or a Euclidean distance that
     underflows) raise ``ValidationError``.
     """
-    pts = np.asarray(points, dtype=float)
+    pts = _as_float(points, "points")
     if pts.ndim != 2 or pts.shape[0] < 1:
         raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
     n = pts.shape[0]
@@ -314,7 +295,7 @@ def _save_table_csv(table, path, header: str = "") -> None:
     formats each by ``str`` as it writes it, so only one block's text is
     alive at a time.
     """
-    a = np.asarray(table, dtype=float)
+    a = _as_float(table, "table")
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or not a.shape[1]:
@@ -337,7 +318,7 @@ def load_points_csv(path) -> np.ndarray:
 
 def save_points_csv(points, path) -> None:
     """Write a point set as CSV with a leading dimension comment."""
-    pts = np.asarray(points, dtype=float)
+    pts = _as_float(points, "points")
     if pts.ndim != 2:
         raise ValidationError(f"expected an (n, dim) point array, got {pts.shape}")
     _save_table_csv(pts, path, header=f"dim={pts.shape[1]}")

@@ -6,11 +6,12 @@ dense Prim sweep gives all of it, with no min-max product.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, _check_radius
+from .errors import ValidationError, _as_float, _check_integer, _check_memory, _check_radius
 
 __all__ = ["Dendrogram", "DistanceHistogram"]
 
@@ -32,6 +33,38 @@ class DistanceHistogram:
     peaks: np.ndarray
     valleys: np.ndarray
     overflow: int = 0
+
+    @classmethod
+    def of_counts(cls, values, counts, overflow: int, mode: str, bins: int | None) -> DistanceHistogram:
+        """The histogram of ``counts[i]`` pairs at each sorted distinct finite ``values[i]``.
+
+        Binned mode spreads them over ``bins`` equal-width bins, defaulting to
+        ceil(sqrt(#pairs)) with the ``overflow`` pairs at infinity counted;
+        all pairs at one value fall in its bin, as if binned one by one.
+        """
+        if mode == "distinct":
+            if bins is not None:
+                raise ValidationError("bins only apply to binned mode")
+            peaks, valleys = np.arange(values.size, dtype=int), []
+        elif mode == "binned":
+            if bins is None:
+                bins = max(1, math.ceil(math.sqrt(max(int(counts.sum()) + overflow, 1))))
+            _check_integer(bins, "bins must be an integer")
+            if bins < 1:
+                raise ValidationError(f"bins must be positive, got {bins}")
+            need = 16 * int(bins) + 8  # float64 edges, int64 counts
+            _check_memory(need, f"{bins} bins need {need / 2**20:.1f} MiB of edges and counts")
+            lo, hi = (float(values[0]), float(values[-1])) if values.size else (0.0, 1.0)
+            edges = np.linspace(lo, hi if hi > lo else lo + 1.0, bins + 1)  # one value: one occupied bin
+            counts, values = np.histogram(values, edges, weights=counts)[0], edges
+            # strict local maxima, a bin beyond either end counting as empty, and
+            # the least bin between consecutive ones, which are never adjacent
+            padded = np.concatenate(([0], counts, [0]))
+            peaks = np.flatnonzero((counts > padded[:-2]) & (counts > padded[2:]))
+            valleys = [p + 1 + np.argmin(counts[p + 1 : q]) for p, q in zip(peaks[:-1], peaks[1:])]
+        else:
+            raise ValidationError(f"unknown histogram mode {mode!r}")
+        return cls(mode, values, counts.astype(int), peaks, np.array(valleys, dtype=int), int(overflow))
 
     @property
     def num_peaks(self) -> int:
@@ -57,7 +90,7 @@ class Dendrogram:
     @classmethod
     def from_matrix(cls, w) -> Dendrogram:
         """The dendrogram of a square, symmetric ``w`` without NaN (else ``ValidationError``), O(n^2)."""
-        w = np.asarray(w, dtype=float)
+        w = _as_float(w, "weight matrix")
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise ValidationError(f"expected a square weight matrix, got {w.shape}")
         if not np.array_equal(w, w.T):  # NaN equals nothing, itself included
@@ -99,14 +132,15 @@ class Dendrogram:
         """A*'s sorted distinct values: 0 and the join heights after the first, always ``inf``."""
         return np.unique(np.append(self.h[1:], 0.0))
 
-    def histogram(self) -> DistanceHistogram:
-        """The distinct-mode histogram of A*'s off-diagonal pairs.
+    def histogram(self, mode: str = "distinct", bins: int | None = None) -> DistanceHistogram:
+        """The histogram of A*'s off-diagonal pairs, in ``mode`` as :func:`~ultraclust.distance_histogram`.
 
         Pair (j, k), j < k, sits at max(h[j+1..k]); count it at the leftmost
         position l of that maximum.  With p the last earlier position with
         h >= h[l] and q the next later one with h > h[l] (n if none), those
         pairs are the (l - p)·(q - l) with p <= j < l <= k < q.  One pass
         with a stack finds every p and q; pairs at ``inf`` are the overflow.
+        Either mode gives ``distance_histogram(A*, mode, bins)``, unfilled.
         """
         h, n = self.h, self.h.size
         heights = h.tolist()
@@ -122,14 +156,7 @@ class Dendrogram:
         values, inverse = np.unique(h[1:][finite], return_inverse=True)
         counts = np.zeros(values.size, dtype=int)
         np.add.at(counts, inverse, pairs[finite])
-        return DistanceHistogram(
-            mode="distinct",
-            values=values,
-            counts=counts,
-            peaks=np.arange(values.size, dtype=int),
-            valleys=np.array([], dtype=int),
-            overflow=int(pairs[~finite].sum()),
-        )
+        return DistanceHistogram.of_counts(values, counts, pairs[~finite].sum(), mode, bins)
 
     def cut(self, r: float) -> np.ndarray:
         """Each vertex's spheric cluster of A* at radius ``r``, numbered by smallest member."""

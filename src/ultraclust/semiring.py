@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import ValidationError, _check_integer
+from .errors import ValidationError, _as_float, _check_integer
 
 __all__ = [
     "StabilizationResult",
@@ -69,7 +69,7 @@ def validate_dissimilarity(a) -> np.ndarray:
     off-diagonal entries (``inf`` allowed).  A -0.0 diagonal entry is
     returned as +0.0, in a copy, so every strategy yields the same bytes.
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_float(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
@@ -147,8 +147,8 @@ def minmax_product(a, b) -> np.ndarray:
     multiplies a diagonal tile as ``rows @ rows.T``, for which numpy calls
     BLAS ``syrk``.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype != b.dtype or a.dtype.kind != "u":
+    a, b = _as_float(a, "operand", codes=True), _as_float(b, "operand", codes=True)
+    if a.dtype != b.dtype:  # codes of one dtype, or floats
         a, b = a.astype(float, copy=False), b.astype(float, copy=False)
     if a.ndim != 2 or b.ndim != 2:
         raise ValidationError("operands must be 2-dimensional")
@@ -278,8 +278,7 @@ def identity(n: int) -> np.ndarray:
 
 def matrix_leq(a, b) -> bool:
     """Entrywise order: True iff a[i,j] <= b[i,j] for all i, j."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
+    a, b = _as_float(a, "matrix"), _as_float(b, "matrix")
     if a.shape != b.shape:
         raise ValidationError(f"shape mismatch: {a.shape} vs {b.shape}")
     return bool(np.all(a <= b))
@@ -290,7 +289,7 @@ def power(a, k: int) -> np.ndarray:
 
     A NaN entry raises ``ValidationError``: NaN is no element of the semiring.
     """
-    a = np.asarray(a, dtype=float)
+    a = _as_float(a, "matrix")
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValidationError(f"power requires a square matrix, got {a.shape}")
     _check_integer(k, "power exponent must be an integer")
@@ -321,12 +320,15 @@ class StabilizationResult:
     ``ultrametricity`` the ratio n/m.  ``star`` holds the input's float64
     values under either strategy.  ``power_trace`` records how many
     entries changed at each multiplication step (linear strategy only).
+    ``dendrogram`` is the input's sweep ``Dendrogram.from_matrix(a)``, whose
+    ``histogram`` and ``cut`` read A* without the n^2 ``star``.
     """
 
     star: np.ndarray
     m: int
     ultrametricity: float
     power_trace: list[int] | None = None
+    dendrogram: Dendrogram | None = None
 
 
 def power_chain(a):
@@ -446,8 +448,7 @@ def _entry_product(
     return differ
 
 
-def _stabilize_doubling(a: np.ndarray) -> tuple[np.ndarray, int]:
-    d = Dendrogram.from_matrix(a)
+def _stabilize_doubling(a: np.ndarray, d: Dendrogram) -> tuple[np.ndarray, int]:
     levels = d.levels()
     codes = _level_codes(a, levels)
     star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
@@ -507,13 +508,14 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     left power still differs from A*.  The stop rule stays the paper's:
     square until the square equals the power squared, which is the
     squaring over zero live rows and costs nothing.  The result decodes the
-    last power of the chain, not the fill.
+    last power of the chain, not the fill; both strategies return the sweep.
     """
     a = validate_dissimilarity(a)
+    if strategy not in ("linear", "doubling"):
+        raise ValidationError(f"unknown strategy {strategy!r} (want linear or doubling)")
+    d = Dendrogram.from_matrix(a)
     if strategy == "linear":
         star, m, trace = _stabilize_linear(a)
-        return StabilizationResult(star, m, a.shape[0] / m, trace)
-    if strategy == "doubling":
-        star, m = _stabilize_doubling(a)
-        return StabilizationResult(star, m, a.shape[0] / m, None)
-    raise ValidationError(f"unknown strategy {strategy!r} (want linear or doubling)")
+    else:
+        (star, m), trace = _stabilize_doubling(a, d), None
+    return StabilizationResult(star, m, a.shape[0] / m, trace, d)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import NotUltrametricError, ValidationError
+from .errors import NotUltrametricError, ValidationError, _as_float
 from .semiring import _level_codes, minmax_product, stabilize, validate_dissimilarity
 
 __all__ = [
@@ -60,7 +60,7 @@ def sup_ultrametrics(mats) -> np.ndarray:
     The supremum of ultrametrics is again an ultrametric; this is verified
     on the result.
     """
-    mats = [np.asarray(m, dtype=float) for m in mats]
+    mats = [_as_float(m, "matrix") for m in mats]
     if not mats:
         raise ValidationError("sup_ultrametrics requires a nonempty family")
     shape = mats[0].shape

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from ultraclust import (
+    Dendrogram,
     distance_histogram,
     example1_matrix,
     is_ultrametric,
@@ -14,7 +15,7 @@ from ultraclust import (
     spheric_clustering,
     subdominant,
 )
-from ultraclust import data, semiring, ultrametric
+from ultraclust import cli, errors, semiring, ultrametric
 from ultraclust.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import random_dissim
 
@@ -66,6 +67,26 @@ class TestAnalyze:
         path = tmp_path / "bad.csv"
         path.write_text("0,1\n2,0\n")
         assert main(["analyze", "--input", str(path)]) == EXIT_VALIDATION
+
+    def test_histograms_its_input_once_and_reads_a_star_from_the_forest(self, tmp_path, monkeypatch, capsys,
+                                                                          rng):
+        a = random_dissim(rng, 20)
+        assert not is_ultrametric(a)
+        path = tmp_path / "a.csv"
+        save_matrix_csv(a, path)
+        seen = []
+
+        def spy(m, *args, **kwargs):
+            seen.append(np.array(m))
+            return distance_histogram(m, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "distance_histogram", spy)
+        assert main(["analyze", "--input", str(path)]) == EXIT_OK
+        assert len(seen) == 1 and seen[0].tobytes() == a.tobytes()
+        report = json.loads(capsys.readouterr().out)
+        hist = distance_histogram(subdominant(a))
+        assert report["distinct_values_after"] == hist.values.size
+        assert report["suggested_radius"] == radii_from_valleys(hist, 1)[0][0]
 
 
 class TestUltrametric:
@@ -185,7 +206,7 @@ class TestCluster:
                                                        command):
         path = tmp_path / "pts.csv"
         save_points_csv(rng.uniform(0, 1, (1000, 2)), path)
-        monkeypatch.setattr(data, "_physical_memory", lambda: 2**20)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 2**20)
         assert main([command, "--input", str(path), "--kind", "points"]) == EXIT_VALIDATION
         captured = capsys.readouterr()
         assert captured.err.startswith("error: 1000 points need a 7.6 MiB distance matrix")
@@ -217,11 +238,29 @@ class TestHistogram:
         rows = capsys.readouterr().out.strip().splitlines()
         assert rows == ["1,1", "2,2"]
 
+    @pytest.mark.parametrize("mode, bins", [("distinct", None), ("binned", None), ("binned", 7)])
+    def test_stabilized_stage_reads_the_forest(self, tmp_path, monkeypatch, capsys, rng, mode, bins):
+        a = random_dissim(rng, 30, with_inf=True)
+        path = tmp_path / "a.csv"
+        save_matrix_csv(a, path)
+        hist = distance_histogram(subdominant(a), mode, bins)
+        values = (hist.values[:-1] + hist.values[1:]) / 2.0 if mode == "binned" else hist.values
+        want = io.StringIO()
+        np.savetxt(want, np.column_stack((values, hist.counts)), fmt=("%.17g", "%d"), delimiter=",")
+
+        def no_fill(self):
+            raise AssertionError("histogram --stage stabilized filled A*")
+
+        monkeypatch.setattr(Dendrogram, "fill", no_fill)
+        argv = ["histogram", "--input", str(path), "--stage", "stabilized", "--mode", mode]
+        assert main(argv + ["--bins", str(bins)] * (bins is not None)) == EXIT_OK
+        assert capsys.readouterr().out == want.getvalue()
+
     @pytest.mark.parametrize("to_file", [False, True])
     def test_bins_beyond_memory_are_validation_error(self, ex1_csv, to_file, tmp_path, capsys,
                                                      monkeypatch):
         # a 4 MiB machine is simulated: 300,000 bins need 4.6 MiB, none of it allocated
-        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 4 * 2**20)
         out = tmp_path / "hist.csv"
         argv = ["histogram", "--input", ex1_csv, "--mode", "binned", "--bins", "300000"]
         assert main(argv + ["--output", str(out)] * to_file) == EXIT_VALIDATION
@@ -346,7 +385,7 @@ class TestGenerate:
     def test_points_beyond_memory_are_validation_error(self, to_file, tmp_path, capsys,
                                                        monkeypatch):
         # a 4 MiB machine is simulated: 90,000 points need 5.5 MiB, none of it allocated
-        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 4 * 2**20)
         out = tmp_path / "pts.csv"
         argv = ["generate", "--grid", "1x1", "--cluster", "300x300"]
         assert main(argv + ["--output", str(out)] * to_file) == EXIT_VALIDATION

@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ultraclust import data
+from ultraclust import errors
 from ultraclust import (
     subdominant,
     Clustering,
@@ -29,7 +29,7 @@ from conftest import peak_bytes, random_dissim
 
 class TestLattice:
     def test_points_beyond_memory_rejected_up_front(self, monkeypatch):
-        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 4 * 2**20)
         # numpy-integer counts whose product, 2^64, would wrap to 0 in int64
         config = LatticeConfig(*[np.int64(2**16)] * 4)
         assert config.total_points == 2**64
@@ -154,7 +154,7 @@ class TestPairwiseMatrix:
 
     def test_matrix_larger_than_memory_rejected_up_front(self, monkeypatch):
         # 1000 points need 7.6 MiB; a 4 MiB machine is simulated, nothing that large is allocated
-        monkeypatch.setattr(data, "_physical_memory", lambda: 4 * 2**20)
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 4 * 2**20)
         pts = np.zeros((1000, 2))  # duplicates too: the memory check comes first
         message = r"^1000 points need a 7\.6 MiB .* than the 4\.0 MiB of physical memory$"
         with pytest.raises(ValidationError, match=message):
@@ -163,11 +163,11 @@ class TestPairwiseMatrix:
 
     def test_memory_guard_skipped_without_a_probe(self, monkeypatch, rng):
         monkeypatch.setattr(os, "sysconf", mock.Mock(side_effect=ValueError))
-        assert data._physical_memory() is None
+        assert errors._physical_memory() is None
         assert pairwise_matrix(rng.uniform(0, 1, (50, 2))).shape == (50, 50)
 
     def test_memory_probe_reports_physical_memory(self):
-        assert data._physical_memory() > 2**20
+        assert errors._physical_memory() > 2**20
 
     @pytest.mark.parametrize("n", [5, 300, 700])
     @pytest.mark.parametrize("metric", ["manhattan", "euclidean"])

@@ -83,6 +83,7 @@ def library_outputs(a):
     for strategy in ("linear", "doubling"):
         r = stabilize(a, strategy)
         out[f"stabilize-{strategy}"] = digest(r.star, r.m, r.ultrametricity, r.power_trace)
+        out[f"stabilize-{strategy}-dendrogram"] = digest(r.dendrogram.order, r.dendrogram.h)
     star = stabilize(a).star
     out["subdominant"] = digest(subdominant(a))
     out["minimax_oracle"] = digest(minimax_oracle(a))
@@ -96,6 +97,8 @@ def library_outputs(a):
     d = Dendrogram.from_matrix(a)
     out["dendrogram"] = digest(d.order, d.h, d.levels(), *_histogram_parts(d.histogram()))
     out["dendrogram-cut"] = digest(*[d.cut(r) for r in radii])
+    out["dendrogram-binned"] = digest(*_histogram_parts(d.histogram("binned")),
+                                      *_histogram_parts(d.histogram("binned", 7)))
     hists = [distance_histogram(a), distance_histogram(a, "binned"), distance_histogram(star)]
     out["histograms"] = digest(*[p for h in hists for p in _histogram_parts(h)],
                                *[radii_from_valleys(h, 3) for h in hists])
@@ -186,50 +189,65 @@ DIGESTS = {
     'cli ultrametric --input holes.csv': '0455f8d261380a3676d49ec5d4e3538b67909171de373a0a48039c6cee0fb4fa',
     'cli ultrametric --input pts.csv --kind points': '5576605645c3656977bd1444a40eb05882d8835f76c54d593aa158fc48424b2b',
     'holes dendrogram': '184463828138c1c3a19fb933263428d34ef70674c3786e4cf765a36237a38d5f',
+    'holes dendrogram-binned': '21694864f18913b4b4ccd6b2b60298e9fb63b9168dd0c1f75bc0ad3bb480fabc',
     'holes dendrogram-cut': '1e26bd92f90188bc522e24af1d9acee6c86ea7664439f8a50dd85886d11c7203',
     'holes histograms': '1c2d037b5d50549a88216df6252649bd872cfe9ab95cb13e337250927aa9e1b3',
     'holes is_ultrametric': 'e87b90e308ac1276e151c56f91da145768b95c5ab8008456aec03571cf59d74a',
     'holes minimax_oracle': '2ea06166eb33ed4b9eebe78b1af3726db19865be870859eaeaffc1e3ddebbd3b',
     'holes spheric_clustering': '6d1fcd4cfb8d5160a2719518835645818d9fe61b74f1fef5864e56e49d128979',
     'holes stabilize-doubling': '8d3a329cf0adbdca2f27cdd79f4f21a60035299ee524a32a827b8abca8727c90',
+    'holes stabilize-doubling-dendrogram': '5d82541c671e02e1097909712e2d8e294d1b3f66580d86fca22ac2145dca9aad',
     'holes stabilize-linear': 'a076b09879ea9e9c4c298703c67f8a1971325c3d7e1fb567a02cf24e700b74c3',
+    'holes stabilize-linear-dendrogram': '5d82541c671e02e1097909712e2d8e294d1b3f66580d86fca22ac2145dca9aad',
     'holes subdominant': '2ea06166eb33ed4b9eebe78b1af3726db19865be870859eaeaffc1e3ddebbd3b',
     'integer dendrogram': 'fd3855f721346b54dc9909ae56e45bdcb7d67ef4d17834364e0e6fcbe1e79ced',
+    'integer dendrogram-binned': 'fdba7a5217a85b5f75038211716dad7c410e4b10084556340a80e6e65a1ea022',
     'integer dendrogram-cut': '5e5e750a1f45c633dd4e1ac0bc9baa8b31d368b782bef807cc60d2db0634c625',
     'integer histograms': '91e5529924b6f92f6e1523eecb86459a77b6b667ea99922afcf45c51788bf272',
     'integer is_ultrametric': 'e87b90e308ac1276e151c56f91da145768b95c5ab8008456aec03571cf59d74a',
     'integer minimax_oracle': 'e9c74be7d512fc6f7efbd30527c8235ac7d1627309365949382ee14572b6080b',
     'integer spheric_clustering': 'bef5c32b8e089ca5439ba7c953e9a958aa0d7538a234e14b49b8ea7a43a3fd70',
     'integer stabilize-doubling': 'aece2cde17309e0e19e3cf6c36b1ec471ae41b5eacee902a846faa33d103e111',
+    'integer stabilize-doubling-dendrogram': '92061f87a79fd2507f394b1acac494e208d3607f86ba2a5a9983d39cbe611caf',
     'integer stabilize-linear': '1ef356c38fa8668a857585ece527666a250d080536f624e678e875ce63e46f92',
+    'integer stabilize-linear-dendrogram': '92061f87a79fd2507f394b1acac494e208d3607f86ba2a5a9983d39cbe611caf',
     'integer subdominant': 'e9c74be7d512fc6f7efbd30527c8235ac7d1627309365949382ee14572b6080b',
     'lattice dendrogram': '1354f441f9d009593b2c2e3d7ada4f78e6a6cf6275682b88cc40cadf8d13fc52',
+    'lattice dendrogram-binned': '1db4d1e5e4d54f22d948b595b70edbf542a8d051df6ab68a3586e1b3371d2994',
     'lattice dendrogram-cut': 'ac51ffe0f3bf5b452fa29db493ef6ec030b785cadcf6ca43e60524e02541135a',
     'lattice histograms': '18eff99cc34249f2214ecc21e3c46f5a0e30b5418aced72fd09e4d80e2e7c743',
     'lattice is_ultrametric': 'e87b90e308ac1276e151c56f91da145768b95c5ab8008456aec03571cf59d74a',
     'lattice minimax_oracle': '6917f174444866f0fc66a4e98117ede0028a1d91b3b882109bbc46eff7e870bf',
     'lattice spheric_clustering': 'e755aa4fbfda8117f0f019dc97a0161f75131a0607b964fdc888ecbdfe27e0e3',
     'lattice stabilize-doubling': 'd4bf2e6ce7b609eb3019cc20170b649daed7fd6353d71c7de475187887484983',
+    'lattice stabilize-doubling-dendrogram': 'f8279e374afb005ab058e982dd12a79d96b323b9b4aeac7742dbf65e8f5cd5fd',
     'lattice stabilize-linear': 'bc00812016cf4479407e37f289c72f9bb2f7874ba980290738b950054405ddc2',
+    'lattice stabilize-linear-dendrogram': 'f8279e374afb005ab058e982dd12a79d96b323b9b4aeac7742dbf65e8f5cd5fd',
     'lattice subdominant': '6917f174444866f0fc66a4e98117ede0028a1d91b3b882109bbc46eff7e870bf',
     'path dendrogram': '2062a90bca75eea929274f7ebd07ee9628ea5f02b46a302e59a05fb5e30c100b',
+    'path dendrogram-binned': '336ecd0e8df55aa803e94b8930e3d3ce51e50e36293a218ebf30dd8d0c36fb5e',
     'path dendrogram-cut': 'f0eb98b5b2954d9370323b3f6c9f00c39e9bdfee934af11a80f6d010dbf9f86d',
     'path histograms': '8e1e9c5365155abff9b8a261694e332811bcd8c15560f9f832ec5096bb491ca8',
     'path is_ultrametric': 'e87b90e308ac1276e151c56f91da145768b95c5ab8008456aec03571cf59d74a',
     'path minimax_oracle': '68ab0c40f99203652b57c9d1adbf14213d871ce4e65bcb5a9515e129d5f450b0',
     'path spheric_clustering': 'fec2cfcde475d345d27ddda7c02d3217e1be7f889959d18d3c37bbb1e6950011',
     'path stabilize-doubling': 'cc1e3cecc28254d300bddaf40634ab7835edcd6800f79c06b816dc9d954e7846',
+    'path stabilize-doubling-dendrogram': 'bdc1b2458f28d8d73f655263b4a51a6a61ffb5e413f6a91d5d6026e0eddc34e3',
     'path stabilize-linear': 'c29517f0455c5ef690637efe645f5ec412986c10e7765a9ab5bf7aa03d5df5ba',
+    'path stabilize-linear-dendrogram': 'bdc1b2458f28d8d73f655263b4a51a6a61ffb5e413f6a91d5d6026e0eddc34e3',
     'path subdominant': '68ab0c40f99203652b57c9d1adbf14213d871ce4e65bcb5a9515e129d5f450b0',
     'signed minimax_oracle': 'e487c670343544af56d259f75b9e00d93d4cfc00778d57736dafbc2af4c3168a',
     'uniform dendrogram': '9682a100fcfbe5956c2822d6b093faa4e430c29384dce929f7d96c1e1c99ed73',
+    'uniform dendrogram-binned': '22ba82bb6ef662d54c8485d55403ee3baf9db23f7d3c20003d6baa5f57960991',
     'uniform dendrogram-cut': 'b87616180618831c5f990f92a71734e4511b090ee0b2800cc679cf4634d47a69',
     'uniform histograms': '327b657fb470cd3f3e10972503df6aee751dd4e79465ffa0edd070528c598591',
     'uniform is_ultrametric': 'e87b90e308ac1276e151c56f91da145768b95c5ab8008456aec03571cf59d74a',
     'uniform minimax_oracle': '777ffbba3668c9e56a7d65b91aae645a20c26bbc9debc358165ec9065b650793',
     'uniform spheric_clustering': '525fd0d2333463413e0569e420efce7cf5679633ecb8ea2b1af549bfc77e917a',
     'uniform stabilize-doubling': 'ac477e1b597ef48f2d2fc4cd92fbc85a56c92ffb039093dca4acd718778ad02e',
+    'uniform stabilize-doubling-dendrogram': '0ed2e0bc24684dc7f5146ad0062a80f68c95e2e635dcd79093d3fdd404f168fe',
     'uniform stabilize-linear': '0896f701c1f1c4218fa799e2ad4154db153ade5971ae1251be47024255948c31',
+    'uniform stabilize-linear-dendrogram': '0ed2e0bc24684dc7f5146ad0062a80f68c95e2e635dcd79093d3fdd404f168fe',
     'uniform subdominant': '777ffbba3668c9e56a7d65b91aae645a20c26bbc9debc358165ec9065b650793',
 }
 

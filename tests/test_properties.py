@@ -514,14 +514,18 @@ def same_partition(x, y):
 def test_dendrogram_reads_the_fixpoint(a):
     u = subdominant(a)
     d = Dendrogram.from_matrix(a)
-    got, want = d.histogram(), distance_histogram(u)
-    for field in dataclasses.fields(want):
-        x, y = getattr(got, field.name), getattr(want, field.name)
-        assert type(x) is type(y)
-        if isinstance(y, np.ndarray):
-            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-        else:
-            assert x == y
+    for mode, bins in [("distinct", None), ("binned", None), ("binned", 1), ("binned", 3), ("binned", 50)]:
+        got, want = d.histogram(mode, bins), distance_histogram(u, mode, bins)
+        for field in dataclasses.fields(want):
+            x, y = getattr(got, field.name), getattr(want, field.name)
+            assert type(x) is type(y)
+            if isinstance(y, np.ndarray):
+                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+            else:
+                assert x == y
+    for strategy in ("linear", "doubling"):  # stabilize hands on its one sweep
+        held = stabilize(a, strategy).dendrogram
+        assert held.order.tobytes() == d.order.tobytes() and held.h.tobytes() == d.h.tobytes()
     levels = np.unique(u)
     radii = [0.0, *levels.tolist(), *((levels[:-1] + levels[1:]) / 2).tolist(), INF]
     n = a.shape[0]

@@ -1,18 +1,25 @@
+import io
 import math
 
 import numpy as np
 import pytest
 
 from ultraclust import (
+    Dendrogram,
     ValidationError,
+    distance_histogram,
     example1_matrix,
     identity,
     matrix_leq,
     minmax_product,
+    pairwise_matrix,
     power,
     power_chain,
+    save_matrix_csv,
+    save_points_csv,
     stabilize,
     subdominant,
+    sup_ultrametrics,
     validate_dissimilarity,
 )
 from ultraclust import semiring
@@ -396,3 +403,47 @@ def test_validate_returns_positive_zero_diagonal():
     assert not np.any(np.signbit(out)) and a.tobytes() == before
     stars = [stabilize(a, "linear").star, stabilize(a).star, subdominant(a)]
     assert stars[0].tobytes() == stars[1].tobytes() == stars[2].tobytes()
+
+
+# every entry that converts a caller's matrix, and inputs numpy cannot hold as real numbers:
+# complex entries (cast to their real parts with only a warning), a complex list, strings
+# that spell no number, ragged rows and an integer beyond float64
+NON_REAL_ENTRIES = {
+    "validate_dissimilarity": validate_dissimilarity,
+    "Dendrogram.from_matrix": Dendrogram.from_matrix,
+    "stabilize-doubling": stabilize,
+    "stabilize-linear": lambda x: stabilize(x, "linear"),
+    "subdominant": subdominant,
+    "distance_histogram": distance_histogram,
+    "minmax_product": lambda x: minmax_product(x, x),
+    "minmax_product-right": lambda x: minmax_product(np.eye(2, dtype=np.uint8), x),
+    "power": lambda x: power(x, 2),
+    "matrix_leq": lambda x: matrix_leq(x, x),
+    "matrix_leq-right": lambda x: matrix_leq(np.zeros((2, 2)), x),
+    "sup_ultrametrics": lambda x: sup_ultrametrics([x]),
+    "pairwise_matrix": pairwise_matrix,
+    "save_matrix_csv": lambda x: save_matrix_csv(x, io.StringIO()),
+    "save_points_csv": lambda x: save_points_csv(x, io.StringIO()),
+}
+NON_REAL_INPUTS = {
+    "complex-array": np.array([[0, 1 + 5j], [1 + 5j, 0]]),
+    "complex-real-valued": np.array([[0, 1], [1, 0]], dtype=complex),
+    "complex-list": [[0, 1 + 5j], [1 + 5j, 0]],
+    "strings": [["0", "x"], ["x", "0"]],
+    "ragged": [[0, 1], [1]],
+    "huge-integer": [[0, 10**400], [10**400, 0]],
+}
+
+
+@pytest.mark.parametrize("bad", sorted(NON_REAL_INPUTS))
+@pytest.mark.parametrize("entry", sorted(NON_REAL_ENTRIES))
+def test_non_real_matrices_fail_loudly(entry, bad):
+    with pytest.raises(ValidationError, match="real numbers"):
+        NON_REAL_ENTRIES[entry](NON_REAL_INPUTS[bad])
+
+
+def test_numeric_spellings_are_still_read():
+    want = np.array([[0.0, 2.0**70], [2.0**70, 0.0]])
+    for spelling in ([[0, 2**70], [2**70, 0]], [["0", "1.1805916207174113e21"], ["1.1805916207174113e21", "0"]]):
+        got = validate_dissimilarity(spelling)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
