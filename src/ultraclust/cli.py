@@ -107,8 +107,7 @@ def cmd_cluster(args) -> int:
         except ValueError:
             raise ValidationError(f"invalid radius {args.radius!r}") from None
     assignment = dendrogram.cut(radius)
-    table = np.column_stack((np.arange(assignment.size), assignment))
-    np.savetxt(args.output or sys.stdout, table, fmt="%d", delimiter=",")
+    _save_table_csv(np.column_stack((np.arange(assignment.size), assignment)), args.output or sys.stdout)
     return EXIT_OK
 
 
@@ -122,16 +121,14 @@ def _histogram_table(hist) -> np.ndarray:
 
 def cmd_histogram(args) -> int:
     a = _load_matrix(args)
-    fmt = ("%.17g", "%d")
     if args.stage == "trace":  # one histogram per distinct power A, A^2, ..., A* (m stages)
         tables = [_histogram_table(distance_histogram(p, args.mode, args.bins)) for p in power_chain(a)]
         table = np.vstack([np.column_stack((np.full(len(t), k), t)) for k, t in enumerate(tables, 1)])
-        fmt = ("%d", *fmt)
     elif args.stage == "stabilized":  # A*'s, from the sweep: no n^2 fill
         table = _histogram_table(Dendrogram.from_matrix(a).histogram(args.mode, args.bins))
     else:
         table = _histogram_table(distance_histogram(a, args.mode, args.bins))
-    np.savetxt(args.output or sys.stdout, table, fmt=fmt, delimiter=",")
+    _save_table_csv(table, args.output or sys.stdout)
     return EXIT_OK
 
 

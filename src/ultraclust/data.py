@@ -3,22 +3,26 @@
 The matrix CSV interchange format is n rows of n comma-separated numbers
 with no header; infinity is spelled ``inf``.  Point CSVs hold one point per
 row and may start with a ``# dim=<d>`` comment.  Files are UTF-8 text, and
-a path ending in ``.gz`` is gzip-compressed, both when ``np.savetxt`` writes
-it and when the loaders read it.
+one suffix table compresses a ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path
+both when the writer writes it and when the readers read it.
 
-Float tables are written as ``np.savetxt(path, table, fmt="%.17g",
-delimiter=",")`` writes them, byte for byte, but each block of rows formats
-only its distinct values: ``A*`` takes at most n + 1 values (0, the n - 1
-merge heights of its dendrogram and ``inf``), so a block of its rows costs
-at most n + 1 ``%`` conversions.  The text is streamed a block at a time.
+One writer writes every table as numpy's ``savetxt(path, table, fmt="%.17g",
+delimiter=",")`` does, byte for byte (an integer below 2**53 as ``%d``), but
+each block of rows formats only its distinct values: ``A*`` takes at most
+n + 1 values (0, the n - 1 merge heights of its dendrogram and ``inf``), so
+a block of its rows costs at most n + 1 ``%`` conversions.
 """
 
 from __future__ import annotations
 
+import bz2
+import contextlib
 import gzip
+import lzma
 import math
 import numbers
 import os
+import zlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,7 +36,7 @@ _LATTICE_BYTES_PER_POINT = 64
 _CSV = dict(delimiter=",", comments=None, ndmin=2)  # an inline "#" is a parse error
 # input bytes of one block of rows that the CSV writer formats at a time.
 # Median of 21, 2-core machine: an all-distinct 600 x 600 table took 1.07x
-# np.savetxt's time at 64 KiB, 1.05x at 128 KiB, 1.11x at 256 KiB and
+# numpy savetxt's time at 64 KiB, 1.05x at 128 KiB, 1.11x at 256 KiB and
 # 1.14x at 512 KiB (more of the block's records leave the cache); a uniform
 # n = 2000 A* (2000 values) took 0.29x, 0.23x, 0.18x and 0.18x (larger
 # blocks format each value fewer times), and the 576 x 576 lattice A*
@@ -41,6 +45,9 @@ _CSV_BLOCK_BYTES = 128 << 10
 # numpy's sum over an axis adds fewer terms than this one by one, left to
 # right, and more by pairwise summation
 _PAIRWISE_SUM_TERMS = 8
+# compressed formats by path suffix, as numpy's savetxt picks them (xz for both lzma suffixes)
+_COMPRESSED = {".gz": ("a gzip", gzip.open), ".bz2": ("a bzip2", bz2.open),
+               ".xz": ("an xz", lzma.open), ".lzma": ("an lzma", lzma.open)}
 # "%.17g" of a float64 takes at most 24 characters, as in
 # "-2.2250738585072014e-308"; the writer pads every value to this width
 _CSV_WIDTH = 24
@@ -80,9 +87,9 @@ class LatticeConfig:
             _check_integer(count, f"{name} must be a positive integer")
             if count < 1:
                 raise ValidationError(f"{name} must be a positive integer")
-        for name in ("spacing", "gap"):
-            if not isinstance(getattr(self, name), numbers.Real):
-                raise ValidationError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for name, value in (("spacing", self.spacing), ("gap", self.gap)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValidationError(f"{name} must be a real number, got {value!r}")
         if self.spacing <= 0:
             raise ValidationError("spacing must be positive")
         if self.gap < 0:
@@ -229,20 +236,24 @@ def _parse_rows(path, fh, what: str, unit: str, comments: bool = False) -> np.nd
     raise ValidationError(f"{path}: row {i} has {widths[i]} {unit}, expected {widths[0]}")
 
 
-def _read_rows(path, what: str, unit: str, comments: bool = False) -> np.ndarray:
-    """``_parse_rows`` of a CSV file read as UTF-8, through gzip if its name ends in ``.gz``.
+def _codec(path):
+    return _COMPRESSED.get(os.path.splitext(path)[1], (None, open))
 
-    The suffix rule is ``np.savetxt``'s, so a table written to such a path
-    reads back; bytes that are not UTF-8 or not gzip raise ``ValidationError``.
+
+def _read_rows(path, what: str, unit: str, comments: bool = False) -> np.ndarray:
+    """``_parse_rows`` of a CSV file opened as UTF-8 text by the writer's suffix rule, ``_codec``.
+
+    A file that cannot be opened raises ``OSError``; bytes that are not UTF-8,
+    or not in the format the suffix names, raise ``ValidationError``.
     """
-    zipped = os.path.splitext(path)[1] == ".gz"
-    try:
-        with (gzip.open if zipped else open)(path, "rt", encoding="utf-8") as fh:
+    name, opener = _codec(path)
+    with opener(path, "rt", encoding="utf-8") as fh:
+        try:
             return _parse_rows(path, fh, what, unit, comments)
-    except UnicodeDecodeError:
-        raise ValidationError(f"{path}: not UTF-8 text") from None
-    except (gzip.BadGzipFile, EOFError) as exc:
-        raise ValidationError(f"{path}: not a gzip file ({exc})") from None
+        except UnicodeDecodeError:
+            raise ValidationError(f"{path}: not UTF-8 text") from None
+        except (OSError, EOFError, lzma.LZMAError, zlib.error) if name else () as exc:  # bz2 raises OSError
+            raise ValidationError(f"{path}: not {name} file ({exc})") from None
 
 
 def load_matrix_csv(path) -> np.ndarray:
@@ -257,8 +268,8 @@ def load_matrix_csv(path) -> np.ndarray:
         raise ValidationError(f"{path}: {exc}") from None
 
 
-class _CsvRows:
-    """A block of rows of a float table, whose ``str`` is their CSV text.
+def _csv_rows(rows: np.ndarray) -> str:
+    """The CSV text of a block of rows of a float table, each row's line ending in a newline.
 
     The block's distinct values, keyed by their float64 bits (so -0.0 and
     0.0 stay apart and every NaN has a key), are formatted by one ``%``
@@ -266,44 +277,36 @@ class _CsvRows:
     into fixed-width records.  The records are gathered in row order, each
     row's last comma becomes a newline, and the padding is dropped.
     """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows: np.ndarray):
-        self.rows = rows
-
-    def __str__(self) -> str:
-        r, c = self.rows.shape
-        # a 1-D key array: the shape of np.unique's inverse of n-D input changed in numpy 2.0
-        keys, inverse = np.unique(self.rows.ravel().view(np.uint64), return_inverse=True)
-        text = (f"%-{_CSV_WIDTH}.17g," * keys.size) % tuple(keys.view(float).tolist())
-        records = np.frombuffer(text.encode("ascii"), f"V{_CSV_WIDTH + 1}")
-        cells = np.take(records, inverse).view(np.uint8).reshape(r, c * (_CSV_WIDTH + 1))
-        cells[:, -1] = ord("\n")
-        # np.savetxt writes the newline after the block's last row: a space is dropped
-        cells[-1, -1] = ord(" ")
-        return cells[cells != ord(" ")].tobytes().decode("ascii")
+    r, c = rows.shape
+    # a 1-D key array: the shape of np.unique's inverse of n-D input changed in numpy 2.0
+    keys, inverse = np.unique(rows.ravel().view(np.uint64), return_inverse=True)
+    text = (f"%-{_CSV_WIDTH}.17g," * keys.size) % tuple(keys.view(float).tolist())
+    records = np.frombuffer(text.encode("ascii"), f"V{_CSV_WIDTH + 1}")
+    cells = np.take(records, inverse).view(np.uint8).reshape(r, c * (_CSV_WIDTH + 1))
+    cells[:, -1] = ord("\n")
+    return cells[cells != ord(" ")].tobytes().decode("ascii")
 
 
 def _save_table_csv(table, path, header: str = "") -> None:
-    """``np.savetxt(path, table, fmt="%.17g", delimiter=",", header=header)``, streamed.
+    """Write what numpy's ``savetxt(path, table, fmt="%.17g", delimiter=",", header=header)`` writes.
 
-    ``table`` is a 1-D (one value a row) or 2-D float table with at least one
-    column.  numpy still opens ``path`` (a path, which a ``.gz``, ``.bz2`` or
-    ``.xz`` suffix compresses, or a text stream) and writes ``header``: it
-    gets one ``_CsvRows`` per block of about ``_CSV_BLOCK_BYTES`` of rows and
-    formats each by ``str`` as it writes it, so only one block's text is
-    alive at a time.
+    ``table`` is 1-D (one value a row) or 2-D with at least one column, else
+    ``ValidationError``; ``path`` is a text stream or a path, opened by ``_codec``.
+    ``# {header}`` comes first, then one ``_csv_rows`` text per block of about
+    ``_CSV_BLOCK_BYTES`` of rows, so only one block's text is alive at a time.
     """
     a = _as_float(table, "table")
     if a.ndim == 1:
         a = a[:, None]
     if a.ndim != 2 or not a.shape[1]:
-        raise ValueError(f"expected a 1-D or 2-D table with at least one column, got shape {a.shape}")
+        raise ValidationError(f"expected a 1-D or 2-D table with at least one column, got shape {a.shape}")
     step = max(1, _CSV_BLOCK_BYTES // (a.itemsize * a.shape[1]))
-    blocks = np.empty((-(-a.shape[0] // step), 1), dtype=object)
-    blocks[:, 0] = [_CsvRows(a[s : s + step]) for s in range(0, a.shape[0], step)]
-    np.savetxt(path, blocks, fmt="%s", header=header)
+    named = isinstance(path, (str, os.PathLike))
+    with _codec(path)[1](path, "wt", encoding="utf-8") if named else contextlib.nullcontext(path) as fh:
+        if header:
+            fh.write(f"# {header}\n")
+        for s in range(0, a.shape[0], step):
+            fh.write(_csv_rows(a[s : s + step]))
 
 
 def save_matrix_csv(matrix, path) -> None:

@@ -162,7 +162,7 @@ class Dendrogram:
         """Each vertex's spheric cluster of A* at radius ``r``, numbered by smallest member."""
         _check_radius(r)
         starts = self.h > r
-        starts[0] = True  # also at r = inf, where the pairs at inf merge
+        starts[:1] = True  # also at r = inf, where the pairs at inf merge; none if n = 0
         run = np.cumsum(starts) - 1
         first = np.minimum.reduceat(self.order, np.flatnonzero(starts))
         assignment = np.empty(self.order.size, dtype=np.intp)

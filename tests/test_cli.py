@@ -400,6 +400,12 @@ class TestGenerate:
         assert len(capsys.readouterr().out.splitlines()) == 40000
 
 
+# each compressed suffix: its format as errors name it, and its magic bytes
+# (lzma.open writes the xz format whatever the suffix, as numpy's writer does)
+COMPRESSED = {".gz": ("a gzip", b"\x1f\x8b"), ".bz2": ("a bzip2", b"BZh"),
+              ".xz": ("an xz", b"\xfd7zXZ\x00"), ".lzma": ("an lzma", b"\xfd7zXZ\x00")}
+
+
 class TestInputFiles:
     def test_non_utf8_input_is_validation_error(self, tmp_path, capsys):
         path = tmp_path / "latin1.csv"
@@ -409,26 +415,40 @@ class TestInputFiles:
             captured = capsys.readouterr()
             assert captured.err == f"error: {path}: not UTF-8 text\n" and captured.out == ""
 
+    @pytest.mark.parametrize("suffix", COMPRESSED)
     @pytest.mark.parametrize("command", ["ultrametric", "generate"])
-    def test_gzip_output_reads_back(self, command, three_csv, tmp_path, capsys):
-        # np.savetxt gzips an --output path ending in .gz; the readers gunzip it
+    def test_compressed_output_reads_back(self, command, suffix, three_csv, tmp_path, capsys):
+        # one suffix table compresses an --output path and decompresses an --input path
         make = {"ultrametric": ["ultrametric", "--input", three_csv],
                 "generate": ["generate", "--grid", "2x2", "--cluster", "2x3"]}[command]
         kind = "points" if command == "generate" else "matrix"
         outs = []
-        for name in ("out.csv", "out.csv.gz"):
+        for name in ("out.csv", "out.csv" + suffix):
             path = tmp_path / name
             assert main([*make, "--output", str(path)]) == EXIT_OK
             assert main(["cluster", "--input", str(path), "--kind", kind]) == EXIT_OK
-            outs.append(capsys.readouterr().out)
-        assert (tmp_path / "out.csv.gz").read_bytes()[:2] == b"\x1f\x8b"
+            captured = capsys.readouterr()
+            outs.append(captured.out)
+            assert captured.err == ""
+        assert (tmp_path / ("out.csv" + suffix)).read_bytes().startswith(COMPRESSED[suffix][1])
         assert outs[0] and outs[1] == outs[0]
 
-    def test_corrupt_gzip_input_is_validation_error(self, tmp_path, capsys):
-        path = tmp_path / "m.csv.gz"
+    @pytest.mark.parametrize("suffix", COMPRESSED)
+    def test_corrupt_compressed_input_is_validation_error(self, suffix, tmp_path, capsys):
+        name = COMPRESSED[suffix][0]
+        path = tmp_path / f"m.csv{suffix}"
         path.write_bytes(b"0,1\n1,0\n")
         assert main(["analyze", "--input", str(path)]) == EXIT_VALIDATION
-        assert capsys.readouterr().err.startswith(f"error: {path}: not a gzip file")
+        assert capsys.readouterr().err.startswith(f"error: {path}: not {name} file (")
+        # a compressed file cut short is not in its format either
+        compressed = tmp_path / f"whole.csv{suffix}"
+        assert main(["generate", "--grid", "1x1", "--cluster", "2x2", "--output", str(compressed)]) == EXIT_OK
+        path.write_bytes(compressed.read_bytes()[:20])
+        assert main(["analyze", "--input", str(path), "--kind", "points"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith(f"error: {path}: not {name} file (")
+        missing = tmp_path / f"nope.csv{suffix}"
+        assert main(["analyze", "--input", str(missing)]) == EXIT_IO
+        assert "No such file or directory" in capsys.readouterr().err
 
 
 class TestUsageErrors:

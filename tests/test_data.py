@@ -1,4 +1,6 @@
+import bz2
 import gzip
+import lzma
 import os
 import re
 from unittest import mock
@@ -81,7 +83,7 @@ class TestLattice:
             LatticeConfig(*counts)
 
     @pytest.mark.parametrize("field", ["spacing", "gap"])
-    @pytest.mark.parametrize("value", ["1", None, 1j])
+    @pytest.mark.parametrize("value", ["1", None, 1j, True, False])  # a bool is no length
     def test_spacing_and_gap_must_be_real(self, field, value):
         with pytest.raises(ValidationError, match=f"^{field} must be a real number, got {value!r}$"):
             LatticeConfig(1, 1, 2, 1, **{field: value})
@@ -318,10 +320,10 @@ class TestTableWriter:
         star = subdominant(random_dissim(rng, 40, with_inf=True))
         pts = rng.uniform(-5, 5, (30, 3))
         for save, a, header in ((save_matrix_csv, star, ""), (save_points_csv, pts, "dim=3")):
-            for name in ("t.csv", "t.csv.gz"):
+            for suffix, read in ((".csv", open), (".gz", gzip.open), (".bz2", bz2.open), (".xz", lzma.open)):
+                name = f"t.csv{suffix}"
                 save(a, tmp_path / name)
                 np.savetxt(tmp_path / f"ref.{name}", a, fmt="%.17g", delimiter=",", header=header)
-                read = gzip.open if name.endswith(".gz") else open
                 with read(tmp_path / name, "rb") as got, read(tmp_path / f"ref.{name}", "rb") as want:
                     assert got.read() == want.read()
 
@@ -340,7 +342,7 @@ class TestTableWriter:
 
     @pytest.mark.parametrize("shape", [(3, 0), (2, 2, 2)])
     def test_tables_without_columns_or_of_three_axes_rejected(self, shape):
-        with pytest.raises(ValueError, match="1-D or 2-D table with at least one column"):
+        with pytest.raises(ValidationError, match="1-D or 2-D table with at least one column"):
             save_matrix_csv(np.zeros(shape), TextSize())
 
 

@@ -40,3 +40,8 @@ class TestCut:
         d = Dendrogram.from_matrix(random_dissim(rng, 5))
         with pytest.raises(ValidationError, match=f"^radius must be a nonnegative number, got {r}$"):
             d.cut(r)
+
+    def test_empty_dendrogram_cuts_to_no_clusters(self):
+        d = Dendrogram.from_matrix(np.zeros((0, 0)))
+        assignment = d.cut(1.0)
+        assert assignment.dtype == np.intp and assignment.shape == (0,)

@@ -11,12 +11,15 @@ values of A*, the power chain falls to A*, spheric
 clusterings nest, the spanning forest's dendrogram gives the histograms
 and clusterings of A* and SciPy's single-linkage cuts, spheric clusterings
 reject exactly the matrices that are not ultrametric, CSV files read back
-exactly what was written, and the float table writer writes the bytes of
-``np.savetxt``."""
+exactly what was written, and the table writer writes the bytes of
+``np.savetxt`` ("%.17g" for floats, "%d" for integers) to a stream, a path
+or a compressed path."""
 
+import bz2
 import dataclasses
 import gzip
 import io
+import lzma
 import math
 from unittest import mock
 
@@ -631,30 +634,43 @@ table_value = st.one_of(
 table_shape = st.one_of(st.tuples(st.integers(0, 12), st.integers(1, 6)), st.tuples(st.integers(0, 12)))
 
 
+# decompression of each compressed sink, by suffix
+UNZIP = {".gz": gzip.decompress, ".bz2": bz2.decompress, ".xz": lzma.decompress}
+
+
 def written_bytes(write, a, header, sink, tmp):
     """The bytes ``write(a, <sink>, header=header)`` puts into a text stream, a
-    path or a .gz path (gunzipped)."""
+    path or a compressed path (decompressed)."""
     if sink == "stream":
         fh = io.StringIO()
         write(a, fh, header=header)
         return fh.getvalue().encode()
     path = tmp / sink
     write(a, path, header=header)
-    return gzip.decompress(path.read_bytes()) if sink.endswith(".gz") else path.read_bytes()
+    return UNZIP.get(path.suffix, bytes)(path.read_bytes())
 
 
 @settings(max_examples=300, deadline=None)
-@given(arrays(np.float64, table_shape, elements=table_value), st.sampled_from(["", "dim=3"]),
-       st.sampled_from(["stream", "t.csv", "t.csv.gz"]), st.sampled_from([8, 24, 100, 1 << 16]))
+@given(st.one_of(arrays(np.float64, table_shape, elements=table_value),
+                 # indices, cluster ids, counts and stages: integers whose float64 is exact
+                 arrays(np.int64, table_shape, elements=st.integers(-(2**53), 2**53))),
+       st.sampled_from(["", "dim=3"]),
+       st.sampled_from(["stream", "t.csv", *(f"t.csv{suffix}" for suffix in UNZIP)]),
+       st.sampled_from([8, 24, 100, 1 << 16]))
 @example(np.array([[0.0, -0.0, math.nan], [INF, -INF, 5e-324]]), "", "stream", 1 << 16)
 @example(np.array([[1.5]]), "dim=1", "t.csv.gz", 8)
+@example(np.array([[1.5, -2.0]]), "", "t.csv.bz2", 8)
+@example(np.array([[2.5], [0.0]]), "dim=1", "t.csv.xz", 8)
 @example(np.zeros((0, 3)), "dim=3", "t.csv", 8)  # the header alone
 @example(np.zeros(0), "", "stream", 8)
 @example(np.array([3.0, -0.0, 3.0, math.nan]), "", "stream", 8)  # 1-D: one value a row
 @example(np.tile([[0.0, -0.0], [2.0, 0.0]], (6, 3)), "", "t.csv", 48)  # one row per block
+@example(np.array([[0, 7], [1, -(2**53)], [2, 2**53]]), "", "stream", 24)
+@example(np.array([3, 0, 3]), "", "t.csv.gz", 8)
 def test_table_writer_writes_the_bytes_of_savetxt(tmp_path_factory, a, header, sink, block):
+    # the CLI's integer tables were written with "%d", its float tables with "%.17g"
     def savetxt(x, dest, header):
-        np.savetxt(dest, x, fmt="%.17g", delimiter=",", header=header)
+        np.savetxt(dest, x, fmt="%d" if x.dtype.kind == "i" else "%.17g", delimiter=",", header=header)
 
     tmp = tmp_path_factory.mktemp("table")
     with mock.patch.object(data, "_CSV_BLOCK_BYTES", block):  # blocks of few rows
