@@ -13,10 +13,11 @@ import sys
 
 import numpy as np
 
-from .clustering import distance_histogram, estimate_num_clusters, radii_from_valleys
+from .clustering import _histogram_of, estimate_num_clusters, radii_from_valleys
 from .data import (
     LatticeConfig,
     _save_table_csv,
+    _text_writer,
     lattice_generate,
     load_matrix_csv,
     load_points_csv,
@@ -51,8 +52,8 @@ def _load_matrix(args) -> np.ndarray:
 
 
 def _emit(text: str, output: str | None) -> None:
-    if output:
-        with open(output, "w") as fh:
+    if output:  # compressed as the suffix says, as every CSV output is
+        with _text_writer(output) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -73,7 +74,7 @@ def cmd_analyze(args) -> int:
         "clusterability": result.ultrametricity,
         "ultrametricity": result.ultrametricity,
         "is_ultrametric": result.m == 1,
-        "distinct_values_before": distance_histogram(a).values.size,
+        "distinct_values_before": _histogram_of(a).values.size,  # a is valid: stabilize checked it
         "distinct_values_after": hist.values.size,
         "estimated_k": estimate_num_clusters(hist.num_peaks),
         "suggested_radius": _auto_radius(hist),
@@ -121,13 +122,14 @@ def _histogram_table(hist) -> np.ndarray:
 
 def cmd_histogram(args) -> int:
     a = _load_matrix(args)
+    # a is valid (loaded and checked, or built from points), and so is each of its powers
     if args.stage == "trace":  # one histogram per distinct power A, A^2, ..., A* (m stages)
-        tables = [_histogram_table(distance_histogram(p, args.mode, args.bins)) for p in power_chain(a)]
+        tables = [_histogram_table(_histogram_of(p, args.mode, args.bins)) for p in power_chain(a)]
         table = np.vstack([np.column_stack((np.full(len(t), k), t)) for k, t in enumerate(tables, 1)])
     elif args.stage == "stabilized":  # A*'s, from the sweep: no n^2 fill
         table = _histogram_table(Dendrogram.from_matrix(a).histogram(args.mode, args.bins))
     else:
-        table = _histogram_table(distance_histogram(a, args.mode, args.bins))
+        table = _histogram_table(_histogram_of(a, args.mode, args.bins))
     _save_table_csv(table, args.output or sys.stdout)
     return EXIT_OK
 

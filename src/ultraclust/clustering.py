@@ -108,7 +108,11 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
     equal-width bins, defaulting to ceil(sqrt(#pairs)).  For the subdominant
     ultrametric, :meth:`Dendrogram.histogram` gives it from the sweep.
     """
-    a = validate_dissimilarity(a)
+    return _histogram_of(validate_dissimilarity(a), mode, bins)
+
+
+def _histogram_of(a: np.ndarray, mode: str = "distinct", bins: int | None = None) -> DistanceHistogram:
+    """:func:`distance_histogram` of a matrix that is already a valid float64 dissimilarity."""
     vals = a[np.triu(np.ones(a.shape, dtype=bool), 1)]
     finite = vals[np.isfinite(vals)]
     values, counts = np.unique(finite, return_counts=True)

@@ -4,7 +4,8 @@ The matrix CSV interchange format is n rows of n comma-separated numbers
 with no header; infinity is spelled ``inf``.  Point CSVs hold one point per
 row and may start with a ``# dim=<d>`` comment.  Files are UTF-8 text, and
 one suffix table compresses a ``.gz``, ``.bz2``, ``.xz`` or ``.lzma`` path
-both when the writer writes it and when the readers read it.
+both when a writer writes it and when the readers read it; a written file's
+bytes depend on its text alone, not on its name or the time.
 
 One writer writes every table as numpy's ``savetxt(path, table, fmt="%.17g",
 delimiter=",")`` does, byte for byte (an integer below 2**53 as ``%d``), but
@@ -18,6 +19,7 @@ from __future__ import annotations
 import bz2
 import contextlib
 import gzip
+import io
 import lzma
 import math
 import numbers
@@ -45,9 +47,6 @@ _CSV_BLOCK_BYTES = 128 << 10
 # numpy's sum over an axis adds fewer terms than this one by one, left to
 # right, and more by pairwise summation
 _PAIRWISE_SUM_TERMS = 8
-# compressed formats by path suffix, as numpy's savetxt picks them (xz for both lzma suffixes)
-_COMPRESSED = {".gz": ("a gzip", gzip.open), ".bz2": ("a bzip2", bz2.open),
-               ".xz": ("an xz", lzma.open), ".lzma": ("an lzma", lzma.open)}
 # "%.17g" of a float64 takes at most 24 characters, as in
 # "-2.2250738585072014e-308"; the writer pads every value to this width
 _CSV_WIDTH = 24
@@ -236,8 +235,35 @@ def _parse_rows(path, fh, what: str, unit: str, comments: bool = False) -> np.nd
     raise ValidationError(f"{path}: row {i} has {widths[i]} {unit}, expected {widths[0]}")
 
 
+@contextlib.contextmanager
+def _gzip_open(path, mode: str, encoding: str):
+    """``gzip.open`` as text, but a written header holds no file name and mtime 0.
+
+    So equal text gives equal bytes under any name at any time; ``gzip.open``
+    writes the base name and the current time.  The deflate stream is
+    ``gzip.open``'s, at the same level.
+    """
+    if "w" not in mode:
+        with gzip.open(path, mode, encoding=encoding) as fh:
+            yield fh
+        return
+    with open(path, "wb") as raw, gzip.GzipFile(filename="", mode="wb", fileobj=raw, mtime=0) as gz, \
+            io.TextIOWrapper(gz, encoding=encoding) as fh:
+        yield fh
+
+
+# compressed formats by path suffix, as numpy's savetxt picks them (xz for both lzma suffixes)
+_COMPRESSED = {".gz": ("a gzip", _gzip_open), ".bz2": ("a bzip2", bz2.open),
+               ".xz": ("an xz", lzma.open), ".lzma": ("an lzma", lzma.open)}
+
+
 def _codec(path):
     return _COMPRESSED.get(os.path.splitext(path)[1], (None, open))
+
+
+def _text_writer(path):
+    """``path`` opened for writing UTF-8 text, compressed as its suffix says."""
+    return _codec(path)[1](path, "wt", encoding="utf-8")
 
 
 def _read_rows(path, what: str, unit: str, comments: bool = False) -> np.ndarray:
@@ -302,7 +328,7 @@ def _save_table_csv(table, path, header: str = "") -> None:
         raise ValidationError(f"expected a 1-D or 2-D table with at least one column, got shape {a.shape}")
     step = max(1, _CSV_BLOCK_BYTES // (a.itemsize * a.shape[1]))
     named = isinstance(path, (str, os.PathLike))
-    with _codec(path)[1](path, "wt", encoding="utf-8") if named else contextlib.nullcontext(path) as fh:
+    with _text_writer(path) if named else contextlib.nullcontext(path) as fh:
         if header:
             fh.write(f"# {header}\n")
         for s in range(0, a.shape[0], step):

@@ -60,6 +60,14 @@ _TILE_BYTES = 2 << 20
 # against 43 ms for the mirrored block with 71% of the block's entries
 # live, and 27 against 32 ms with 38% live
 _SPARSE_COST = 2
+# element-ops, per live row and column, of one step q <- A·q of the doubling
+# search beside its product: the gathers of A's and A*'s live rows, the
+# product's max and width passes, the comparison and the scatter into q.  On
+# the n = 600 uniform codes of ``dense-random`` (2-core machine, best of 15) a
+# step over all R = n rows took 4.2 ms, 2.6 ms of it the product; the other
+# 1.6 ms are about 18·R·n element-ops at the mirrored block kernel's rate
+# there (its squaring of A^4, n^3/2 of them, took 26 ms)
+_STEP_PASSES = 20
 
 
 def validate_dissimilarity(a) -> np.ndarray:
@@ -459,20 +467,32 @@ def _stabilize_doubling(a: np.ndarray, d: Dendrogram) -> tuple[np.ndarray, int]:
 def _doubling_search(codes: np.ndarray, star: np.ndarray) -> tuple[np.ndarray, int]:
     """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star``.
 
-    Only the fixpoint outlives the call, so the powers and masks are freed
-    before it is decoded.
+    Each doubling A^k -> A^(2k) of many-level codes is a squaring or, when
+    :func:`_steps_are_cheaper`, k steps q <- A·q; few-level codes always
+    square.  Only the fixpoint outlives the call, so the powers and masks
+    are freed before it is decoded.
     """
-    few = codes.max() <= _FEW_LEVELS  # so is every power's top code
+    top = codes.max()
+    few = top <= _FEW_LEVELS  # so is every power's top code
+    # w_i(A): row i's entries below top, the row-sparse work of a step per column
+    widths = None if few else np.count_nonzero(codes != top, axis=1)
     # live: the rows of a power that differ from A*; differ: those entries
     live, differ = _drop_settled(np.arange(codes.shape[0]), codes != star)
-    # sqs[t] = A^(2^t); square until a squaring changes nothing, so that
+    # sqs[t] = A^(2^t); double until a squaring changes nothing, so that
     # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  A^(2k) equals
-    # A^k only when A^k is A*, so that is the squaring of zero live rows
+    # A^k only when A^k is A*, so that is the squaring of zero live rows.  A
+    # step that reaches A* gives m at once
     sqs = [codes]
     while True:
-        q, qlive, qdiffer = _settle(sqs[-1], sqs[-1], star, live, differ, few)
-        if np.array_equal(q, sqs[-1]):
-            break
+        k, p = 1 << (len(sqs) - 1), sqs[-1]
+        if not few and _steps_are_cheaper(p, top, widths, live, differ, k):
+            q, qlive, qdiffer, steps = _steps(codes, p, star, live, k)
+            if not qlive.size:  # A^(k + steps) is A*, and A^(k + steps - 1) is not
+                return q, k + steps
+        else:
+            q, qlive, qdiffer = _settle(p, p, star, live, differ, few)
+            if np.array_equal(q, p):
+                break
         sqs.append(q)
         last, (live, differ) = (live, differ), (qlive, qdiffer)
     if len(sqs) == 1:
@@ -487,19 +507,78 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray) -> tuple[np.ndarray, i
     return sqs[-1], k + 1
 
 
+def _steps_are_cheaper(
+    p: np.ndarray, top, widths: np.ndarray, live: np.ndarray, differ: np.ndarray, k: int
+) -> bool:
+    """Whether k steps q <- A·q reach A^(2k) from p = A^k for less than p's squaring.
+
+    A step's row-sparse product over the R ``live`` rows of A costs
+    sum(w_i)·n element-ops for the ``widths`` w_i of A's rows, and its own
+    passes ``_STEP_PASSES``·R·n.  The squaring costs the cheapest kernel
+    :func:`_settle` and :func:`minmax_product` pick from: the mirrored block
+    R^2·n/2, the entries of ``differ`` at ``_SPARSE_COST``·n each, or the
+    row-sparse kernel at ``_SPARSE_COST``·R for each entry of p's live rows
+    below ``top``, A's top code, which is counted only when the first two
+    do not already win.
+    """
+    n, r = p.shape[0], live.size
+    if not r:  # the squaring of zero live rows is the stop rule
+        return False
+    steps = k * (_SPARSE_COST * int(widths[live].sum()) * n + _STEP_PASSES * r * n)
+    square = min(r * r * n / 2, _SPARSE_COST * (np.count_nonzero(differ) // 2) * n)
+    return steps < square and steps < _SPARSE_COST * np.count_nonzero(p[live] != top) * r
+
+
+def _steps(
+    a: np.ndarray, p: np.ndarray, star: np.ndarray, live: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """A^(2k) from p = A^k by k steps q <- A·q over the live rows, or A* in fewer.
+
+    Powers of one symmetric matrix commute, so A·A^j = A^j·A = A^(j+1), and
+    with A on the left :func:`minmax_product`'s row-sparse kernel gathers
+    only A's entries below top.  A step computes whole rows, so q needs no
+    column gather, and A* <= A^(j+1) <= A^j entrywise, so a row equal to
+    A*'s stays equal: each step computes only the rows that the last one
+    left different from ``star``, and writes them into q in place.  Returns
+    q, its live rows, their (live, live) mask and the number of steps made,
+    fewer than k when a step leaves no live row.
+    """
+    q = p.copy()  # p = A^k stays for the binary lifting
+    # A's and A*'s live rows, gathered into two buffers that every step reuses:
+    # fewer large blocks allocated and freed leave the heap less fragmented
+    arows, srows = np.empty((2, live.size, q.shape[1]), dtype=q.dtype)
+    for step in range(1, k + 1):
+        r = live.size
+        np.take(a, live, axis=0, out=arows[:r])
+        np.take(star, live, axis=0, out=srows[:r])
+        rows = minmax_product(arows[:r], q)
+        differ = rows != srows[:r]  # the one comparison with A*'s rows
+        q[live] = rows
+        del rows
+        keep = differ.any(axis=1)
+        live = live[keep]
+        if not live.size or step == k:
+            return q, live, differ[keep][:, live], step
+        del differ  # freed before the next product
+
+
 def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     """Find the least m with A^m = A^(m+1) and the fixpoint matrix A^m.
 
     ``linear`` multiplies floats by A until nothing changes.  ``doubling``
-    makes 2*ceil(log2 m) products (one when m = 1): it squares until a
-    squaring changes nothing, then finds m by binary lifting.  It multiplies
-    level codes: entry v becomes the number of distinct values of A* (0, the
-    spanning forest's edge weights, and inf between trees) below v, as uint8
-    for fewer than 256 values and uint16 up to 65535.  That map is
-    non-decreasing, so it commutes with min and max; and A^k >= A*
-    entrywise, so A^k == A* exactly when their codes are equal.  The code
-    chain thus has the same m, and its fixpoint decodes to A*.  Both
-    strategies return identical results.
+    doubles the power until a squaring changes nothing, then finds m by
+    binary lifting: 2*ceil(log2 m) products (one when m = 1) when every
+    doubling is a squaring.  Where the top code exceeds ``_FEW_LEVELS``, a
+    doubling A^k -> A^(2k) is k products q <- A·q instead when those cost
+    less than the squaring (:func:`_steps_are_cheaper`), and a step that
+    reaches A* ends the search with m.  It multiplies level codes: entry v
+    becomes the number of distinct values of A* (0, the spanning forest's
+    edge weights, and inf between trees) below v, as uint8 for fewer than
+    256 values and uint16 up to 65535.  That map is non-decreasing, so it
+    commutes with min and max; and A^k >= A* entrywise, so A^k == A*
+    exactly when their codes are equal.  The code chain thus has the same
+    m, and its fixpoint decodes to A*.  Both strategies return identical
+    results.
 
     Each ``doubling`` product computes only what can still change: the
     sweep's dendrogram fills A*'s codes once, and since A* <= A^(k+j) <= A^k

@@ -33,6 +33,28 @@ def path_dissim(n):
     return a
 
 
+def tree_dissim(n, seed, isolated):
+    """A dissimilarity whose A* has exactly n distinct values.
+
+    A random recursive tree with distinct weights 1, 2, ... under heavier
+    (or infinite) chords; with ``isolated`` the last point is cut off, so
+    inf replaces one weight among the values of A*.
+    """
+    rng = np.random.default_rng(seed)
+    k = n - 1 if isolated else n
+    a = np.full((n, n), np.inf)
+    chords = rng.uniform(1000.0, 2000.0, (k, k))
+    a[:k, :k] = np.where(rng.random((k, k)) < 0.1, np.inf, chords)
+    weights = rng.permutation(np.arange(1.0, k))
+    for child in range(1, k):
+        parent = int(rng.integers(0, child))
+        a[child, parent] = weights[child - 1]
+    a = np.tril(a, -1)
+    a = a + a.T
+    np.fill_diagonal(a, 0.0)
+    return a
+
+
 def peak_bytes(f, *args):
     """The result of f(*args) and the tracemalloc peak of the call."""
     tracemalloc.start()

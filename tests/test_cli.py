@@ -1,5 +1,8 @@
+import bz2
+import gzip
 import io
 import json
+import lzma
 
 import numpy as np
 import pytest
@@ -15,7 +18,7 @@ from ultraclust import (
     spheric_clustering,
     subdominant,
 )
-from ultraclust import cli, errors, semiring, ultrametric
+from ultraclust import cli, clustering, data, errors, semiring, ultrametric
 from ultraclust.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
 from conftest import random_dissim
 
@@ -76,11 +79,11 @@ class TestAnalyze:
         save_matrix_csv(a, path)
         seen = []
 
-        def spy(m, *args, **kwargs):
+        def spy(m, *args, _orig=cli._histogram_of, **kwargs):
             seen.append(np.array(m))
-            return distance_histogram(m, *args, **kwargs)
+            return _orig(m, *args, **kwargs)
 
-        monkeypatch.setattr(cli, "distance_histogram", spy)
+        monkeypatch.setattr(cli, "_histogram_of", spy)
         assert main(["analyze", "--input", str(path)]) == EXIT_OK
         assert len(seen) == 1 and seen[0].tobytes() == a.tobytes()
         report = json.loads(capsys.readouterr().out)
@@ -402,8 +405,37 @@ class TestGenerate:
 
 # each compressed suffix: its format as errors name it, and its magic bytes
 # (lzma.open writes the xz format whatever the suffix, as numpy's writer does)
+class TestValidationCounts:
+    """A read command validates a loaded matrix once more only where a public function takes it."""
+
+    @pytest.mark.parametrize("argv, calls", [
+        (["analyze"], 2),  # load_matrix_csv, stabilize
+        (["histogram"], 1),  # load_matrix_csv
+        (["histogram", "--stage", "trace"], 2),  # load_matrix_csv, power_chain
+        (["analyze", "--kind", "points"], 1),  # stabilize of pairwise_matrix's matrix
+        (["histogram", "--kind", "points"], 0),
+    ], ids=["analyze", "histogram", "trace", "analyze-points", "histogram-points"])
+    def test_each_matrix_is_validated_once_a_step(self, argv, calls, ex1_csv, tmp_path, monkeypatch):
+        path = ex1_csv
+        if "points" in argv:
+            path = str(tmp_path / "pts.csv")
+            assert main(["generate", "--grid", "2x2", "--cluster", "2x3", "--output", path]) == EXIT_OK
+        seen = []
+        real = semiring.validate_dissimilarity
+
+        def counted(a):
+            seen.append(1)
+            return real(a)
+
+        for module in (semiring, data, clustering, ultrametric):
+            monkeypatch.setattr(module, "validate_dissimilarity", counted)
+        assert main([*argv, "--input", path]) == EXIT_OK
+        assert len(seen) == calls
+
+
 COMPRESSED = {".gz": ("a gzip", b"\x1f\x8b"), ".bz2": ("a bzip2", b"BZh"),
               ".xz": ("an xz", b"\xfd7zXZ\x00"), ".lzma": ("an lzma", b"\xfd7zXZ\x00")}
+DECOMPRESS = {".gz": gzip.decompress, ".bz2": bz2.decompress, ".xz": lzma.decompress, ".lzma": lzma.decompress}
 
 
 class TestInputFiles:
@@ -432,6 +464,19 @@ class TestInputFiles:
             assert captured.err == ""
         assert (tmp_path / ("out.csv" + suffix)).read_bytes().startswith(COMPRESSED[suffix][1])
         assert outs[0] and outs[1] == outs[0]
+
+    @pytest.mark.parametrize("suffix", COMPRESSED)
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_analyze_output_is_compressed(self, fmt, suffix, ex1_csv, tmp_path, capsys):
+        # the report goes through the suffix table as every CSV output does
+        argv = ["analyze", "--input", ex1_csv, "--format", fmt]
+        plain, packed = tmp_path / "report.txt", tmp_path / f"report.txt{suffix}"
+        for path in (plain, packed):
+            assert main([*argv, "--output", str(path)]) == EXIT_OK
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().out.encode() == plain.read_bytes()
+        assert packed.read_bytes().startswith(COMPRESSED[suffix][1])
+        assert DECOMPRESS[suffix](packed.read_bytes()) == plain.read_bytes()
 
     @pytest.mark.parametrize("suffix", COMPRESSED)
     def test_corrupt_compressed_input_is_validation_error(self, suffix, tmp_path, capsys):

@@ -3,6 +3,7 @@ import gzip
 import lzma
 import os
 import re
+import time
 from unittest import mock
 
 import numpy as np
@@ -326,6 +327,18 @@ class TestTableWriter:
                 np.savetxt(tmp_path / f"ref.{name}", a, fmt="%.17g", delimiter=",", header=header)
                 with read(tmp_path / name, "rb") as got, read(tmp_path / f"ref.{name}", "rb") as want:
                     assert got.read() == want.read()
+
+    @pytest.mark.parametrize("suffix", [".gz", ".bz2", ".xz", ".lzma"])
+    def test_compressed_bytes_depend_on_the_table_alone(self, tmp_path, rng, suffix):
+        # no file name and no clock reach the file: gzip.open writes both into its header
+        pts = rng.uniform(-5, 5, (30, 3))
+        written = []
+        for name, clock in (("a", 1.0e9), ("a-longer-name", 2.0e9)):
+            path = tmp_path / f"{name}.csv{suffix}"
+            with mock.patch.object(time, "time", return_value=clock):
+                save_points_csv(pts, path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1]
 
     def test_ultrametric_streams_in_bounded_memory(self, rng):
         # a uniform A* of n = 2000 holds at most 2001 values, in about 70 MB of text

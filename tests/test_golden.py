@@ -34,7 +34,7 @@ from ultraclust import (
     subdominant,
 )
 from ultraclust.cli import main
-from conftest import path_dissim, random_dissim
+from conftest import path_dissim, random_dissim, tree_dissim
 
 
 def inputs():
@@ -47,6 +47,11 @@ def inputs():
         "path": path_dissim(24),
         "lattice": pairwise_matrix(lattice_generate(LatticeConfig(2, 3, 3, 3))),
     }
+
+
+def stepping_inputs():
+    """Many-level inputs on which the doubling search reaches some powers by steps q <- A·q."""
+    return {"uniform-300": random_dissim(np.random.default_rng(300), 300), "tree-600": tree_dissim(600, 0, False)}
 
 
 def signed_graph():
@@ -157,11 +162,26 @@ def cli_outputs(workdir, holes):
     return out
 
 
+def compressed_outputs(workdir):
+    """Named digests of one ``generate`` output's file bytes under each compressed suffix."""
+    out = {}
+    for suffix in (".gz", ".bz2", ".xz", ".lzma"):
+        path = os.path.join(workdir, "pts.csv" + suffix)
+        _run(["generate", "--grid", "2x3", "--cluster", "3x3", "--output", path])
+        with open(path, "rb") as fh:
+            out["compressed generate " + suffix] = digest(fh.read())
+    return out
+
+
 def all_outputs(workdir):
     cases = inputs()
     out = {f"{name} {key}": value for name, a in cases.items() for key, value in library_outputs(a).items()}
+    for name, a in stepping_inputs().items():
+        r = stabilize(a)
+        out[f"{name} stabilize-doubling"] = digest(r.star, r.m, r.ultrametricity, r.power_trace)
     out["signed minimax_oracle"] = digest(minimax_oracle(signed_graph()))
     out.update(cli_outputs(workdir, cases["holes"]))
+    out.update(compressed_outputs(workdir))
     return out
 
 
@@ -188,6 +208,10 @@ DIGESTS = {
     'cli histogram --input star.csv --stage stabilized': 'f3b609d90e90a27e0f4acd9008372a8c9f687f30fcdb290940b1d6733d7025e8',
     'cli ultrametric --input holes.csv': '0455f8d261380a3676d49ec5d4e3538b67909171de373a0a48039c6cee0fb4fa',
     'cli ultrametric --input pts.csv --kind points': '5576605645c3656977bd1444a40eb05882d8835f76c54d593aa158fc48424b2b',
+    'compressed generate .bz2': 'a0d5313da8d147a12d328bd27147373245f806635d01be8639f428e157c1ba14',
+    'compressed generate .gz': '25ce5b55eae3b4a99df257047ee0704aadf2092a21bc3a30475f3ec438b5c20d',
+    'compressed generate .lzma': 'e7df061312751235d39ffc8c9f4a5425a37881bdcc74bad0e4602e4919abbe0b',
+    'compressed generate .xz': 'e7df061312751235d39ffc8c9f4a5425a37881bdcc74bad0e4602e4919abbe0b',
     'holes dendrogram': '184463828138c1c3a19fb933263428d34ef70674c3786e4cf765a36237a38d5f',
     'holes dendrogram-binned': '21694864f18913b4b4ccd6b2b60298e9fb63b9168dd0c1f75bc0ad3bb480fabc',
     'holes dendrogram-cut': '1e26bd92f90188bc522e24af1d9acee6c86ea7664439f8a50dd85886d11c7203',
@@ -237,6 +261,7 @@ DIGESTS = {
     'path stabilize-linear-dendrogram': 'bdc1b2458f28d8d73f655263b4a51a6a61ffb5e413f6a91d5d6026e0eddc34e3',
     'path subdominant': '68ab0c40f99203652b57c9d1adbf14213d871ce4e65bcb5a9515e129d5f450b0',
     'signed minimax_oracle': 'e487c670343544af56d259f75b9e00d93d4cfc00778d57736dafbc2af4c3168a',
+    'tree-600 stabilize-doubling': 'ec55beee9215007d71eaef5707eb0204689eb877dbb1d9320b6311e2a3086d27',
     'uniform dendrogram': '9682a100fcfbe5956c2822d6b093faa4e430c29384dce929f7d96c1e1c99ed73',
     'uniform dendrogram-binned': '22ba82bb6ef662d54c8485d55403ee3baf9db23f7d3c20003d6baa5f57960991',
     'uniform dendrogram-cut': 'b87616180618831c5f990f92a71734e4511b090ee0b2800cc679cf4634d47a69',
@@ -249,6 +274,7 @@ DIGESTS = {
     'uniform stabilize-linear': '0896f701c1f1c4218fa799e2ad4154db153ade5971ae1251be47024255948c31',
     'uniform stabilize-linear-dendrogram': '0ed2e0bc24684dc7f5146ad0062a80f68c95e2e635dcd79093d3fdd404f168fe',
     'uniform subdominant': '777ffbba3668c9e56a7d65b91aae645a20c26bbc9debc358165ec9065b650793',
+    'uniform-300 stabilize-doubling': 'c804110a2bfe3d7c12f295a7735b04f831c27f92b869909bb76752e27cb69325',
 }
 
 

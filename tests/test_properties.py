@@ -1,6 +1,6 @@
 """Property tests: the spanning-forest sweep gives the (min, max) Floyd-Warshall
-closure of any symmetric weights, the level-code doubling search and the sweep
-agree with the float chain, both strategies' m is the largest hop count of a
+closure of any symmetric weights, the level-code doubling search (by
+squarings, by steps q <- A·q, or both) and the sweep agree with the float chain, both strategies' m is the largest hop count of a
 minimax path, the facts by which doubling settles rows and entries hold
 on the float powers, the sweep joins vertices as a scan of the outside
 ones did, few-level codes multiply as the broadcast kernel multiplies
@@ -53,7 +53,7 @@ from ultraclust import (  # noqa: E402
     stabilize,
     subdominant,
 )
-from conftest import path_dissim, random_dissim  # noqa: E402
+from conftest import path_dissim, random_dissim, tree_dissim  # noqa: E402
 
 INF = math.inf
 
@@ -72,28 +72,6 @@ def small_dissims(draw):
     value = st.one_of(st.sampled_from([1.0, 2.0, 3.0, INF]), st.floats(0.25, 64.0))
     size = n * (n - 1) // 2
     return symmetric(n, draw(st.lists(value, min_size=size, max_size=size)))
-
-
-def tree_dissim(n, seed, isolated):
-    """A dissimilarity whose A* has exactly n distinct values.
-
-    A random recursive tree with distinct weights 1, 2, ... under heavier
-    (or infinite) chords; with ``isolated`` the last point is cut off, so
-    inf replaces one weight among the values of A*.
-    """
-    rng = np.random.default_rng(seed)
-    k = n - 1 if isolated else n
-    a = np.full((n, n), INF)
-    chords = rng.uniform(1000.0, 2000.0, (k, k))
-    a[:k, :k] = np.where(rng.random((k, k)) < 0.1, INF, chords)
-    weights = rng.permutation(np.arange(1.0, k))
-    for child in range(1, k):
-        parent = int(rng.integers(0, child))
-        a[child, parent] = weights[child - 1]
-    a = np.tril(a, -1)
-    a = a + a.T
-    np.fill_diagonal(a, 0.0)
-    return a
 
 
 def hub_dissim(n):
@@ -236,8 +214,9 @@ def test_rows_settle_as_stabilize_assumes(a, k, j):
 
 
 @settings(max_examples=6, deadline=None)
-@given(st.sampled_from([255, 256]), st.integers(0, 2**32 - 1), st.booleans())
-def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated):
+@given(st.sampled_from([255, 256]), st.integers(0, 2**32 - 1), st.booleans(), st.sampled_from([None, -INF, INF]))
+def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated, step_passes):
+    # ``step_passes`` -INF makes every doubling k steps q <- A·q, INF none, None keeps the rule
     a = tree_dissim(n, seed, isolated)
     dtypes = set()
     orig = semiring.minmax_product
@@ -246,12 +225,44 @@ def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated):
         dtypes.add(np.asarray(x).dtype)
         return orig(x, y)
 
-    with mock.patch.object(semiring, "minmax_product", recorded):
-        dbl = stabilize(a)
+    passes = semiring._STEP_PASSES if step_passes is None else step_passes
+    with mock.patch.object(semiring, "_STEP_PASSES", passes):
+        with mock.patch.object(semiring, "minmax_product", recorded):
+            dbl = stabilize(a)
+        assert_strategies_agree(a)
     assert np.unique(dbl.star).size == n
     # n levels take codes 0..n: 255 levels fit uint8, 256 need uint16
     assert dtypes == {np.dtype(np.uint8 if n == 255 else np.uint16)}
-    assert_strategies_agree(a)
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_dissims(), st.booleans())
+@example(symmetric(5, [7.0] * 10), True)  # two levels: few-level codes never step
+@example(path_dissim(9), True)
+@example(hub_dissim(9), True)  # every row settles in the first step
+@example(random_dissim(np.random.default_rng(7), 10, with_inf=True), True)  # many levels, inf holes
+@example(random_dissim(np.random.default_rng(7), 10, integer=True), True)  # tied integers
+@example(tree_dissim(12, 3, True), True)  # 12 levels, inf among them
+@example(tree_dissim(12, 3, True), False)
+def test_steps_match_linear(a, steps):
+    # a step constant of -inf makes every many-level doubling k steps q <- A·q,
+    # and +inf none, whatever the squaring would cost
+    with mock.patch.object(semiring, "_STEP_PASSES", -INF if steps else INF):
+        assert_strategies_agree(a)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_dissims(), st.sets(st.integers(0, 3)))
+@example(tree_dissim(12, 3, True), {1})  # steps, then squarings and binary lifting
+@example(random_dissim(np.random.default_rng(7), 10), {0, 2})
+def test_steps_at_some_doublings_match_linear(a, stepped):
+    # the doublings A^k -> A^(2k), k = 2^t for t in ``stepped``, go by steps and
+    # the others by squarings, so lifting starts from powers of either kind
+    def chosen(p, top, widths, live, differ, k):
+        return live.size > 0 and k.bit_length() - 1 in stepped
+
+    with mock.patch.object(semiring, "_steps_are_cheaper", chosen):
+        assert_strategies_agree(a)
 
 
 def naive(a, b):

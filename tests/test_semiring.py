@@ -137,6 +137,28 @@ class TestProduct:
         assert np.array_equal(differ, narrow | narrow.T)
         assert peak < differ.nbytes + 1.25 * semiring._BLOCK_BYTES
 
+    def test_steps_stay_in_bounded_memory(self, rng):
+        # two steps q <- A·q over 1,500 live rows of n=2000 codes with about 5
+        # entries a row below top: beside q, the steps hold the live rows of A
+        # and of A* in two buffers, the product's rows, one (live, n) mask and
+        # the row-sparse kernel's gather blocks, never a gather of every live row
+        n, top, r = 2000, 1000, 1500
+        c = np.full((n, n), top, np.uint16)
+        i, j = rng.integers(0, n, (2, 4 * n))
+        c[i, j] = c[j, i] = rng.integers(1, top, 4 * n)
+        np.fill_diagonal(c, 0)
+        live = np.sort(rng.choice(n, r, replace=False))
+        (q, qlive, differ, steps), peak = peak_bytes(semiring._steps, c, c, np.zeros_like(c), live, 2)
+        rows = r * n * c.itemsize
+        assert peak < q.nbytes + 3 * rows + r * n + semiring._BLOCK_BYTES
+        assert steps == 2 and np.array_equal(qlive, live) and differ.shape == (r, r)
+        # rows outside live are taken as settled, and stay
+        once = c.copy()
+        once[live] = minmax_product(c[live], c)
+        want = once.copy()
+        want[live] = minmax_product(c[live], once)
+        assert np.array_equal(q, want)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
             minmax_product(np.zeros((2, 3)), np.zeros((2, 3)))
@@ -336,6 +358,30 @@ class TestStabilize:
         a = random_dissim(rng, 200)
         dbl, lin = stabilize(a), stabilize(a, "linear")
         assert entries and all(e > 0 for e in entries)
+        assert dbl.m == lin.m and dbl.star.tobytes() == lin.star.tobytes()
+
+    def test_few_level_codes_never_step(self, monkeypatch):
+        # whatever a step costs, few-level codes square by 0/1 BLAS products
+        monkeypatch.setattr(semiring, "_STEP_PASSES", -math.inf)
+        monkeypatch.setattr(semiring, "_steps", lambda *args: pytest.fail("a few-level search stepped"))
+        for a in (path_dissim(33), pairwise_matrix(np.indices((4, 6)).reshape(2, -1).T)):
+            res = stabilize(a)
+            assert res.m == stabilize(a, "linear").m
+
+    def test_many_level_uniform_input_steps(self, rng, monkeypatch):
+        # uniform n=300: A holds about 9 entries a row below top, A^2 about 60,
+        # so k steps by A cost less than the squaring of A^k for k = 2 and 4
+        made = []
+
+        def recorded(a, p, star, live, k, _orig=semiring._steps):
+            out = _orig(a, p, star, live, k)
+            made.append((k, out[3]))
+            return out
+
+        monkeypatch.setattr(semiring, "_steps", recorded)
+        a = random_dissim(rng, 300)
+        dbl, lin = stabilize(a), stabilize(a, "linear")
+        assert made and all(steps == k for k, steps in made[:-1])
         assert dbl.m == lin.m and dbl.star.tobytes() == lin.star.tobytes()
 
     def test_m_bound(self, rng):
