@@ -229,7 +229,7 @@ def _parse_rows(path, fh, what: str, unit: str, comments: bool = False) -> np.nd
             # the first token numpy rejects wins over an earlier row of the wrong width
             tokens = line.split(",")
             c = next(c for c in range(len(tokens)) if not _width(line, c))
-            raise ValidationError(f"row {r}, column {c}: cannot parse {tokens[c].strip()!r} as a number")
+            raise ValidationError(f"{path}: row {r}, column {c}: cannot parse {tokens[c].strip()!r} as a number")
     # every row parses, so numpy failed on a row of another width
     i = next(i for i, k in enumerate(widths) if k != widths[0])
     raise ValidationError(f"{path}: row {i} has {widths[i]} {unit}, expected {widths[0]}")

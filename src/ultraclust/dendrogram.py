@@ -98,6 +98,15 @@ class Dendrogram:
                 i, j = np.argwhere(np.isnan(w))[0]
                 raise ValidationError(f"weight matrix must not contain NaN, got one at ({i}, {j})")
             raise ValidationError("weight matrix must be symmetric")
+        return cls._sweep(w)
+
+    @classmethod
+    def _sweep(cls, w: np.ndarray) -> Dendrogram:
+        """The Prim sweep of :meth:`from_matrix`, on a float64 ``w`` that its checks passed.
+
+        A matrix from ``validate_dissimilarity`` passes them, so ``stabilize``
+        sweeps it without repeating them.
+        """
         n = w.shape[0]
         key = np.full(n, np.inf)  # lightest edge from the forest grown so far; inf inside it
         outside = np.ones(n, dtype=bool)

@@ -19,6 +19,7 @@ filled from the spanning forest's :class:`~ultraclust.dendrogram.Dendrogram`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,13 +62,15 @@ _TILE_BYTES = 2 << 20
 # live, and 27 against 32 ms with 38% live
 _SPARSE_COST = 2
 # element-ops, per live row and column, of one step q <- A·q of the doubling
-# search beside its product: the gathers of A's and A*'s live rows, the
-# product's max and width passes, the comparison and the scatter into q.  On
-# the n = 600 uniform codes of ``dense-random`` (2-core machine, best of 15) a
-# step over all R = n rows took 4.2 ms, 2.6 ms of it the product; the other
-# 1.6 ms are about 18·R·n element-ops at the mirrored block kernel's rate
-# there (its squaring of A^4, n^3/2 of them, took 26 ms)
-_STEP_PASSES = 20
+# search beside its product: the gather of A*'s live rows, the comparison,
+# its row test and the scatter into q.  On the n = 600 uniform codes of
+# ``dense-random`` (2-core machine, one thread, 20 runs of 4 steps over all
+# R = n rows) a step took 1.6 ms, 1.2 ms of it the kernel over A's packed
+# entries; the other 0.33 ms are about 3.7·R·n element-ops at the mirrored
+# block kernel's rate there (its squaring of A^4, n^3/2 of them, took
+# 26.6 ms), and a doubling's copy of q, buffers and returned mask add about
+# 0.3 ms more
+_STEP_PASSES = 4
 
 
 def validate_dissimilarity(a) -> np.ndarray:
@@ -227,11 +230,20 @@ def _sparse_product(a: np.ndarray, b: np.ndarray, top, widths: np.ndarray) -> np
     for rows, r, k, place, cols in blocks:
         vals = np.full(cols.shape, top, dtype=a.dtype)
         vals[r, place] = a[rows[r], k]
-        terms = b[cols]  # (rows, w, p): row cols[i, t] of b
-        np.maximum(vals[:, :, None], terms, out=terms)
-        out[rows] = terms.min(axis=1)
-        del terms  # freed before the next block's gather
+        out[rows] = _gather_min(vals, cols, b)
     return out
+
+
+def _gather_min(vals: np.ndarray, cols: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The row-sparse block kernel: row i is the min over t of max(vals[i, t], b[cols[i, t]]).
+
+    ``vals`` and ``cols`` are a block's (rows, w) entries and their columns,
+    padded with an entry no smaller than any of b's; the (rows, w, p) gather
+    of b's rows is the block's one temporary, freed on return.
+    """
+    terms = b[cols]  # (rows, w, p): row cols[i, t] of b
+    np.maximum(vals[:, :, None], terms, out=terms)
+    return terms.min(axis=1, out=out)
 
 
 def _threshold_product(a: np.ndarray, b: np.ndarray, top: int, symmetric: bool) -> np.ndarray:
@@ -458,24 +470,48 @@ def _entry_product(
 
 def _stabilize_doubling(a: np.ndarray, d: Dendrogram) -> tuple[np.ndarray, int]:
     levels = d.levels()
-    codes = _level_codes(a, levels)
+    codes, widths = _search_codes(a, levels)
     star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
-    fixpoint, m = _doubling_search(codes, star)
+    fixpoint, m = _doubling_search(codes, star, widths)
     return levels[fixpoint], m
 
 
-def _doubling_search(codes: np.ndarray, star: np.ndarray) -> tuple[np.ndarray, int]:
+def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """A's codes by ``levels`` and, unless they are few-level, w_i(A): row i's entries below A's top code.
+
+    Many-level codes come from one mask of A's entries below the top code,
+    made in row blocks as in :func:`_level_codes`: only those entries are
+    coded, since every other entry is top, and the mask's rows count the
+    w_i.  No n^2 mask outlives a block: one held until the first step
+    raised ``dense-random``'s peak RSS by 3.5 MiB in 5 of 8 runs.
+    """
+    top = np.searchsorted(levels, a.max())
+    if top <= _FEW_LEVELS:
+        return _level_codes(a, levels), None
+    codes = np.full(a.shape, top, dtype=np.min_scalar_type(levels.size))
+    widths = np.empty(a.shape[0], dtype=np.intp)
+    block = max(1, _BLOCK_BYTES // (8 * a.shape[1]))
+    for s in range(0, a.shape[0], block):
+        rows = slice(s, s + block)
+        below = a[rows] <= levels[top - 1]
+        codes[rows][below] = np.searchsorted(levels, a[rows][below])
+        widths[rows] = np.count_nonzero(below, axis=1)
+    return codes, widths
+
+
+def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | None) -> tuple[np.ndarray, int]:
     """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star``.
 
     Each doubling A^k -> A^(2k) of many-level codes is a squaring or, when
-    :func:`_steps_are_cheaper`, k steps q <- A·q; few-level codes always
-    square.  Only the fixpoint outlives the call, so the powers and masks
-    are freed before it is decoded.
+    :func:`_steps_are_cheaper`, k steps q <- A·q; few-level codes, which
+    come without the ``widths`` w_i(A), always square.  The first step
+    packs A's live rows of entries below top once for every later step.
+    Only the fixpoint outlives the call, so the powers and masks are freed
+    before it is decoded.
     """
     top = codes.max()
-    few = top <= _FEW_LEVELS  # so is every power's top code
-    # w_i(A): row i's entries below top, the row-sparse work of a step per column
-    widths = None if few else np.count_nonzero(codes != top, axis=1)
+    few = widths is None  # top is at most _FEW_LEVELS, and so is every power's top code
+    entries = None  # A's live rows packed for the steps, once a doubling steps
     # live: the rows of a power that differ from A*; differ: those entries
     live, differ = _drop_settled(np.arange(codes.shape[0]), codes != star)
     # sqs[t] = A^(2^t); double until a squaring changes nothing, so that
@@ -486,7 +522,9 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray) -> tuple[np.ndarray, i
     while True:
         k, p = 1 << (len(sqs) - 1), sqs[-1]
         if not few and _steps_are_cheaper(p, top, widths, live, differ, k):
-            q, qlive, qdiffer, steps = _steps(codes, p, star, live, k)
+            if entries is None:  # a settled row never turns live again
+                entries = _pack_rows(codes, widths, top, live)
+            q, qlive, qdiffer, steps = _steps(entries, p, star, live, k)
             if not qlive.size:  # A^(k + steps) is A*, and A^(k + steps - 1) is not
                 return q, k + steps
         else:
@@ -512,10 +550,10 @@ def _steps_are_cheaper(
 ) -> bool:
     """Whether k steps q <- A·q reach A^(2k) from p = A^k for less than p's squaring.
 
-    A step's row-sparse product over the R ``live`` rows of A costs
-    sum(w_i)·n element-ops for the ``widths`` w_i of A's rows, and its own
-    passes ``_STEP_PASSES``·R·n.  The squaring costs the cheapest kernel
-    :func:`_settle` and :func:`minmax_product` pick from: the mirrored block
+    A step's row-sparse kernel over the R ``live`` rows of A costs
+    ``_SPARSE_COST``·sum(w_i)·n element-ops for the ``widths`` w_i of A's
+    rows, and its own passes ``_STEP_PASSES``·R·n.  The squaring costs the
+    cheapest kernel :func:`_settle` and :func:`minmax_product` pick from: the mirrored block
     R^2·n/2, the entries of ``differ`` at ``_SPARSE_COST``·n each, or the
     row-sparse kernel at ``_SPARSE_COST``·R for each entry of p's live rows
     below ``top``, A's top code, which is counted only when the first two
@@ -529,36 +567,84 @@ def _steps_are_cheaper(
     return steps < square and steps < _SPARSE_COST * np.count_nonzero(p[live] != top) * r
 
 
+class _RowEntries(NamedTuple):
+    """Some rows of A's entries below its top code, packed by row in O(sum w_i) memory.
+
+    Row i's ``width[i]`` entries below ``top`` have their columns at
+    ``cols[start[i] : start[i] + width[i]]``, increasing, and their codes at
+    the same places of ``vals``.  Both arrays end with one padding entry,
+    column 0 and code ``top``, which index -1 reads.
+    """
+
+    start: np.ndarray
+    width: np.ndarray
+    cols: np.ndarray
+    vals: np.ndarray
+    top: np.integer
+
+
+def _pack_rows(codes: np.ndarray, widths: np.ndarray, top, rows: np.ndarray) -> _RowEntries:
+    """The entries of ``codes`` below ``top`` in ``rows``, whose rows hold ``widths`` of them, packed."""
+    r, cols = np.divmod(np.flatnonzero(codes[rows] != top), codes.shape[1])  # a 2-D np.nonzero takes 5x longer
+    start = np.zeros_like(widths)
+    start[rows] = np.cumsum(widths[rows]) - widths[rows]
+    vals = np.append(codes[rows[r], cols], top)
+    return _RowEntries(start, widths, np.append(cols, 0), vals, top)
+
+
+def _rows_product(entries: _RowEntries, rows: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = A[rows]·b, by the row-sparse block kernel over the packed ``entries``.
+
+    ``rows`` go widest first and b's entries are at most top, as in
+    :func:`_sparse_product`: a block of consecutive rows is padded to its
+    first row's width w with the padding entry, which changes no min, and
+    holds as many rows as keep its (rows, w, p) gather of b near
+    ``_BLOCK_BYTES``.  Rows with no entry below top are top.
+    """
+    width = entries.width[rows]
+    s = 0
+    while s < rows.size and width[s]:
+        w = int(width[s])
+        e = s + max(1, _BLOCK_BYTES // (w * b[0].nbytes))
+        place = np.arange(w)
+        at = np.where(place < width[s:e, None], entries.start[rows[s:e], None] + place, -1)
+        _gather_min(entries.vals[at], entries.cols[at], b, out[s:e])
+        s = e
+    out[s:] = entries.top
+
+
 def _steps(
-    a: np.ndarray, p: np.ndarray, star: np.ndarray, live: np.ndarray, k: int
+    entries: _RowEntries, p: np.ndarray, star: np.ndarray, live: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """A^(2k) from p = A^k by k steps q <- A·q over the live rows, or A* in fewer.
 
     Powers of one symmetric matrix commute, so A·A^j = A^j·A = A^(j+1), and
-    with A on the left :func:`minmax_product`'s row-sparse kernel gathers
-    only A's entries below top.  A step computes whole rows, so q needs no
-    column gather, and A* <= A^(j+1) <= A^j entrywise, so a row equal to
-    A*'s stays equal: each step computes only the rows that the last one
-    left different from ``star``, and writes them into q in place.  Returns
-    q, its live rows, their (live, live) mask and the number of steps made,
-    fewer than k when a step leaves no live row.
+    with A on the left a step reads only A's ``entries`` below top, packed
+    once a search, through :func:`_rows_product`.  A step computes whole
+    rows, so q needs no column gather, and A* <= A^(j+1) <= A^j entrywise,
+    so a row equal to A*'s stays equal: each step computes only the rows
+    that the last one left different from ``star``, and writes them into q
+    in place.  Returns q, its live rows, their (live, live) mask and the
+    number of steps made, fewer than k when a step leaves no live row.
     """
     q = p.copy()  # p = A^k stays for the binary lifting
-    # A's and A*'s live rows, gathered into two buffers that every step reuses:
+    # widest first, the order of the kernel's blocks, which dropping rows keeps
+    live = live[np.argsort(-entries.width[live], kind="stable")]
+    # the product's rows and A*'s, in two buffers that every step reuses:
     # fewer large blocks allocated and freed leave the heap less fragmented
-    arows, srows = np.empty((2, live.size, q.shape[1]), dtype=q.dtype)
+    rows, srows = np.empty((2, live.size, q.shape[1]), dtype=q.dtype)
     for step in range(1, k + 1):
         r = live.size
-        np.take(a, live, axis=0, out=arows[:r])
-        np.take(star, live, axis=0, out=srows[:r])
-        rows = minmax_product(arows[:r], q)
-        differ = rows != srows[:r]  # the one comparison with A*'s rows
-        q[live] = rows
-        del rows
-        keep = differ.any(axis=1)
+        _rows_product(entries, live, q, rows[:r])
+        np.take(star, live, axis=0, out=srows[:r], mode="clip")  # only mode="raise" buffers out
+        differ = rows[:r] != srows[:r]  # the one comparison with A*'s rows
+        q[live] = rows[:r]
+        keep = np.flatnonzero(differ.any(axis=1))
         live = live[keep]
         if not live.size or step == k:
-            return q, live, differ[keep][:, live], step
+            up = np.argsort(live)  # back to increasing rows
+            live = live[up]
+            return q, live, differ[keep[up]][:, live], step
         del differ  # freed before the next product
 
 
@@ -568,17 +654,23 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     ``linear`` multiplies floats by A until nothing changes.  ``doubling``
     doubles the power until a squaring changes nothing, then finds m by
     binary lifting: 2*ceil(log2 m) products (one when m = 1) when every
-    doubling is a squaring.  Where the top code exceeds ``_FEW_LEVELS``, a
-    doubling A^k -> A^(2k) is k products q <- A·q instead when those cost
-    less than the squaring (:func:`_steps_are_cheaper`), and a step that
-    reaches A* ends the search with m.  It multiplies level codes: entry v
-    becomes the number of distinct values of A* (0, the spanning forest's
-    edge weights, and inf between trees) below v, as uint8 for fewer than
-    256 values and uint16 up to 65535.  That map is non-decreasing, so it
+    doubling is a squaring.  It multiplies level codes: entry v becomes
+    the number of distinct values of A* (0, the spanning forest's edge
+    weights, and inf between trees) below v, as uint8 for fewer than 256
+    values and uint16 up to 65535.  That map is non-decreasing, so it
     commutes with min and max; and A^k >= A* entrywise, so A^k == A*
     exactly when their codes are equal.  The code chain thus has the same
     m, and its fixpoint decodes to A*.  Both strategies return identical
     results.
+
+    Where the top code exceeds ``_FEW_LEVELS``, a doubling A^k -> A^(2k)
+    is k products q <- A·q instead when those cost less than the squaring
+    (:func:`_steps_are_cheaper`), and a step that reaches A* ends the
+    search with m.  Such codes come from one mask of A's entries below its
+    top code: only those are coded, and at the first step A's live rows of
+    them are packed once, as (column, code) by row.  Every step multiplies
+    its live rows through that packing by the row-sparse block kernel of
+    :func:`minmax_product`, without calling it.
 
     Each ``doubling`` product computes only what can still change: the
     sweep's dendrogram fills A*'s codes once, and since A* <= A^(k+j) <= A^k
@@ -587,12 +679,14 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     left power still differs from A*.  The stop rule stays the paper's:
     square until the square equals the power squared, which is the
     squaring over zero live rows and costs nothing.  The result decodes the
-    last power of the chain, not the fill; both strategies return the sweep.
+    last power of the chain, not the fill; both strategies return the sweep
+    of the validated matrix, which skips the checks of
+    :meth:`Dendrogram.from_matrix` that validation already made.
     """
     a = validate_dissimilarity(a)
     if strategy not in ("linear", "doubling"):
         raise ValidationError(f"unknown strategy {strategy!r} (want linear or doubling)")
-    d = Dendrogram.from_matrix(a)
+    d = Dendrogram._sweep(a)  # a valid dissimilarity is square, symmetric and without NaN
     if strategy == "linear":
         star, m, trace = _stabilize_linear(a)
     else:

@@ -495,6 +495,20 @@ class TestInputFiles:
         assert main(["analyze", "--input", str(missing)]) == EXIT_IO
         assert "No such file or directory" in capsys.readouterr().err
 
+    def test_corrupt_gzip_body_that_still_inflates_names_the_file(self, tmp_path, capsys):
+        # gzip checks its CRC only at the end of the stream, so 40 bytes flipped
+        # in the middle of a 200x200 matrix's deflate body still inflate, to a
+        # row that does not parse; that error names the file as the others do
+        path = tmp_path / "m.csv.gz"
+        save_matrix_csv(random_dissim(np.random.default_rng(0), 200), path)
+        raw = bytearray(path.read_bytes())
+        mid = len(raw) // 2
+        raw[mid : mid + 40] = bytes(b ^ 0xFF for b in raw[mid : mid + 40])
+        path.write_bytes(raw)
+        assert main(["analyze", "--input", str(path)]) == EXIT_VALIDATION == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: row ") and ": cannot parse " in err
+
 
 class TestUsageErrors:
     def test_strategy_flag_removed(self, ex1_csv):

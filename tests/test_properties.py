@@ -5,7 +5,8 @@ minimax path, the facts by which doubling settles rows and entries hold
 on the float powers, the sweep joins vertices as a scan of the outside
 ones did, few-level codes multiply as the broadcast kernel multiplies
 their float copies, a product by the transpose matches the
-naive product on every kernel, the packing walker of the gather kernels
+naive product on every kernel, a step's kernel over the packed entries of
+A below its top code gives minmax_product's rows, the packing walker of the gather kernels
 yields each entry of a mask once, widest rows first, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
 clusterings nest, the spanning forest's dendrogram gives the histograms
@@ -219,15 +220,20 @@ def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated, step_p
     # ``step_passes`` -INF makes every doubling k steps q <- A·q, INF none, None keeps the rule
     a = tree_dissim(n, seed, isolated)
     dtypes = set()
-    orig = semiring.minmax_product
+    orig, kernel = semiring.minmax_product, semiring._rows_product
 
     def recorded(x, y):
         dtypes.add(np.asarray(x).dtype)
         return orig(x, y)
 
+    def stepped(entries, rows, b, out):
+        dtypes.update((entries.vals.dtype, b.dtype))
+        return kernel(entries, rows, b, out)
+
     passes = semiring._STEP_PASSES if step_passes is None else step_passes
     with mock.patch.object(semiring, "_STEP_PASSES", passes):
-        with mock.patch.object(semiring, "minmax_product", recorded):
+        with mock.patch.object(semiring, "minmax_product", recorded), \
+                mock.patch.object(semiring, "_rows_product", stepped):
             dbl = stabilize(a)
         assert_strategies_agree(a)
     assert np.unique(dbl.star).size == n
@@ -330,6 +336,54 @@ LIVE = [1, 2, 5, 6, 11]
 DIAGONAL = one_zero(range(10), 10)
 PERMUTATION = one_zero([3, 7, 0, 9, 1, 8, 2, 6, 4, 5], 10)
 GAPS = one_zero([4, None, 4, 0, None, 9, 2, None, 9, 4], 10)  # empty rows, shared columns
+
+
+@st.composite
+def step_operands(draw):
+    """Square codes A, maybe mostly at its top code; some of its rows; codes q at most that top."""
+    dtype = draw(st.sampled_from([np.uint8, np.uint16]))
+    top = draw(st.integers(0, np.iinfo(dtype).max))
+    n = draw(st.integers(1, 12))
+    fill = draw(st.sampled_from([None, st.just(top)]))
+    a = draw(arrays(dtype, (n, n), elements=st.integers(0, top), fill=fill))
+    q = draw(arrays(dtype, (n, n), elements=st.integers(0, top)))
+    rows = draw(st.sets(st.integers(0, n - 1)))
+    return a, np.minimum(q, a.max()), np.array(sorted(rows), dtype=np.intp)
+
+
+def with_square(c, rows):
+    """Step operands: codes c, the product c·c and ``rows``."""
+    return c, minmax_product(c, c), np.array(rows, dtype=np.intp)
+
+
+def coded(a, dtype=np.uint8):
+    """The level codes of ``a`` by its distinct values."""
+    return semiring._level_codes(a, np.unique(a)).astype(dtype)
+
+
+@settings(max_examples=300, deadline=None)
+@given(step_operands(), st.integers(1, 4))
+# rows of width 0 (row 0) and 1 (row 1), uint16 and uint8
+@example(with_square(BAND, range(12)), 2)
+@example(with_square(banded(9, 200, np.uint8), [0, 1, 5, 8]), 1)
+# inf holes: top is the code of inf
+@example(with_square(coded(random_dissim(np.random.default_rng(7), 10, with_inf=True)), range(10)), 1)
+@example(with_square(coded(random_dissim(np.random.default_rng(7), 10, with_inf=True), np.uint16), [2, 3, 7]), 3)
+# tied integer codes
+@example(with_square(coded(random_dissim(np.random.default_rng(7), 12, integer=True)), [0, 4, 5, 11]), 2)
+@example(with_square(coded(random_dissim(np.random.default_rng(7), 12, integer=True), np.uint16), range(12)), 4)
+@example(with_square(np.zeros((3, 3), np.uint8), range(3)), 1)  # every entry top
+def test_step_rows_match_the_product(operands, block):
+    # a step's kernel over A's packed entries below top gives the rows of
+    # minmax_product(A[rows], q), in blocks of ``block`` rows at width 1
+    a, q, rows = operands
+    top = a.max()
+    entries = semiring._pack_rows(a, np.count_nonzero(a != top, axis=1), top, rows)
+    rows = rows[np.argsort(-entries.width[rows], kind="stable")]  # widest first, as the steps order them
+    out = np.empty((rows.size, q.shape[1]), a.dtype)
+    with mock.patch.object(semiring, "_BLOCK_BYTES", block * q[0].nbytes):
+        semiring._rows_product(entries, rows, q, out)
+    assert out.tobytes() == minmax_product(a[rows], q).tobytes()
 
 
 @settings(max_examples=300, deadline=None)

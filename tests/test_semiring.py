@@ -139,25 +139,33 @@ class TestProduct:
 
     def test_steps_stay_in_bounded_memory(self, rng):
         # two steps q <- A·q over 1,500 live rows of n=2000 codes with about 5
-        # entries a row below top: beside q, the steps hold the live rows of A
-        # and of A* in two buffers, the product's rows, one (live, n) mask and
-        # the row-sparse kernel's gather blocks, never a gather of every live row
+        # entries a row below top: beside q, the steps hold the live rows of
+        # the product and of A* in two buffers, one (live, n) mask and the
+        # row-sparse kernel's gather blocks, never a gather of every live row.
+        # Then one live row is below top throughout: its block is that row
+        # alone, and the narrow rows' blocks are not padded to its width
         n, top, r = 2000, 1000, 1500
         c = np.full((n, n), top, np.uint16)
         i, j = rng.integers(0, n, (2, 4 * n))
         c[i, j] = c[j, i] = rng.integers(1, top, 4 * n)
         np.fill_diagonal(c, 0)
         live = np.sort(rng.choice(n, r, replace=False))
-        (q, qlive, differ, steps), peak = peak_bytes(semiring._steps, c, c, np.zeros_like(c), live, 2)
-        rows = r * n * c.itemsize
-        assert peak < q.nbytes + 3 * rows + r * n + semiring._BLOCK_BYTES
-        assert steps == 2 and np.array_equal(qlive, live) and differ.shape == (r, r)
-        # rows outside live are taken as settled, and stay
-        once = c.copy()
-        once[live] = minmax_product(c[live], c)
-        want = once.copy()
-        want[live] = minmax_product(c[live], once)
-        assert np.array_equal(q, want)
+        wide = c.copy()
+        wide[live[r // 2]] = wide[:, live[r // 2]] = rng.integers(1, top, n)
+        wide[live[r // 2], live[r // 2]] = 0
+        for a in (c, wide):
+            widths = np.count_nonzero(a != top, axis=1)
+            entries = semiring._pack_rows(a, widths, a.dtype.type(top), live)
+            (q, qlive, differ, steps), peak = peak_bytes(semiring._steps, entries, a, np.zeros_like(a), live, 2)
+            rows = r * n * a.itemsize
+            assert peak < q.nbytes + 3 * rows + r * n + semiring._BLOCK_BYTES
+            assert steps == 2 and np.array_equal(qlive, live) and differ.shape == (r, r)
+            # rows outside live are taken as settled, and stay
+            once = a.copy()
+            once[live] = minmax_product(a[live], a)
+            want = once.copy()
+            want[live] = minmax_product(a[live], once)
+            assert np.array_equal(q, want)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -373,8 +381,8 @@ class TestStabilize:
         # so k steps by A cost less than the squaring of A^k for k = 2 and 4
         made = []
 
-        def recorded(a, p, star, live, k, _orig=semiring._steps):
-            out = _orig(a, p, star, live, k)
+        def recorded(entries, p, star, live, k, _orig=semiring._steps):
+            out = _orig(entries, p, star, live, k)
             made.append((k, out[3]))
             return out
 
