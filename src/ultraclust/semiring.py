@@ -14,6 +14,9 @@ computing one triangle of a product by the operand's own transpose.  This
 module holds only that algebra and the search for m, the one semiring path;
 the level codes of A* that :func:`stabilize`'s products settle against are
 filled from the spanning forest's :class:`~ultraclust.dendrogram.Dendrogram`.
+On few-level codes the search for m first runs without products: one
+bit-parallel breadth-first search per level of A, on rows packed 64 columns
+to a word, which hands over to the 0/1 products when they would cost less.
 """
 
 from __future__ import annotations
@@ -71,6 +74,17 @@ _SPARSE_COST = 2
 # 26.6 ms), and a doubling's copy of q, buffers and returned mask add about
 # 0.3 ms more
 _STEP_PASSES = 4
+# 0/1 MACs of a few-level squaring that one word-op of the bit-parallel
+# search costs (a 64-bit word of a row gathered and ORed, or compared with
+# A*'s).  One thread, 2-core machine, best of 9, a whole step per charged
+# word-op: 1.6-2.2 ns on rows of 130-330 neighbours (n = 400-1000), a path
+# (n = 1000) and the n = 1600 lattice, 3.1-5.4 ns on the 576-point lattice
+# and integer-grid points (3-25 neighbours, 9-14 words), against 19-25 ps a
+# MAC for a symmetric 0/1 squaring at n = 1000 and 23-58 ps at n = 400-600:
+# ratios of 40-280.  The count leaves out per-call overhead, as the other
+# costs here do, so below n = 64 or so the search hands over although it
+# would finish sooner: 0.12 vs 0.16 ms for a 3-point matrix
+_BIT_COST = 100
 
 
 def validate_dissimilarity(a) -> np.ndarray:
@@ -502,24 +516,32 @@ def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.nda
 def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | None) -> tuple[np.ndarray, int]:
     """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star``.
 
-    Each doubling A^k -> A^(2k) of many-level codes is a squaring or, when
-    :func:`_steps_are_cheaper`, k steps q <- A·q; few-level codes, which
-    come without the ``widths`` w_i(A), always square.  The first step
-    packs A's live rows of entries below top once for every later step.
-    Only the fixpoint outlives the call, so the powers and masks are freed
-    before it is decoded.
+    Few-level codes, which come without the ``widths`` w_i(A), first go to
+    :func:`_reach_search` when some row of A differs from A*'s (m > 1); it
+    returns m, with A*'s own codes as the fixpoint, or hands over to the
+    doublings.  Each doubling A^k -> A^(2k) of many-level codes is a
+    squaring or, when :func:`_steps_are_cheaper`, k steps q <- A·q;
+    few-level codes always square.  The first step packs A's live rows of
+    entries below top once for every later step.  Only the fixpoint
+    outlives the call, so the powers and masks are freed before it is
+    decoded.  More doublings than m <= n - 1 allows raise ``RuntimeError``.
     """
-    top = codes.max()
+    n, top = codes.shape[0], codes.max()
     few = widths is None  # top is at most _FEW_LEVELS, and so is every power's top code
     entries = None  # A's live rows packed for the steps, once a doubling steps
     # live: the rows of a power that differ from A*; differ: those entries
-    live, differ = _drop_settled(np.arange(codes.shape[0]), codes != star)
+    live, differ = _drop_settled(np.arange(n), codes != star)
+    if few and live.size:  # m > 1
+        m = _reach_search(codes, star, live.size)
+        if m:
+            return star, m
     # sqs[t] = A^(2^t); double until a squaring changes nothing, so that
     # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  A^(2k) equals
     # A^k only when A^k is A*, so that is the squaring of zero live rows.  A
-    # step that reaches A* gives m at once
+    # step that reaches A* gives m at once.  m <= n - 1, so that squaring
+    # comes by the (ceil(log2 n) + 1)-th pass, when A^(2^ceil(log2 n)) is A*
     sqs = [codes]
-    while True:
+    for _ in range((n - 1).bit_length() + 1):
         k, p = 1 << (len(sqs) - 1), sqs[-1]
         if not few and _steps_are_cheaper(p, top, widths, live, differ, k):
             if entries is None:  # a settled row never turns live again
@@ -533,6 +555,8 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | N
                 break
         sqs.append(q)
         last, (live, differ) = (live, differ), (qlive, qdiffer)
+    else:
+        raise RuntimeError(f"A^(2^{len(sqs) - 1}) is not A* although m <= n - 1 = {n - 1}: a product is wrong")
     if len(sqs) == 1:
         return codes, 1
     # binary lifting: grow k from 2^(T-1) to m - 1, the last power short of
@@ -543,6 +567,111 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | N
         if qlive.size:
             k, p, live, differ = k + (1 << t), q, qlive, qdiffer
     return sqs[-1], k + 1
+
+
+def _reach_search(codes: np.ndarray, star: np.ndarray, rows: int) -> int:
+    """m for few-level codes by a bit-parallel breadth-first search at each level, or 0 to square instead.
+
+    A^t[i, j] <= c exactly when a walk of at most t edges, each <= c, joins
+    i and j (the zero diagonal pads shorter walks), and A*[i, j] <= c when
+    any walk does.  So at level c, for the graph G_c of A's entries <= c,
+    row i of (A^(t+1) <= c) is the OR of rows j of (A^t <= c) over the
+    neighbours j of i in G_c, i included: a breadth-first search from every
+    vertex at once, 64 of them to a word of ``np.packbits`` rows (Then et
+    al., "The More the Merrier", PVLDB 8(4), 2014).  A step ORs only the
+    rows that still differ from (A* <= c): a row that equals it stays equal,
+    since A* <= A^(t+1) <= A^t.  Level 0 is the diagonal and every entry is
+    at most ``top``, so when every level c in [1, top) ends within m - 1
+    steps, A^m and A* agree at every level, and so A^m = A* exactly.
+
+    Each step is charged ``_BIT_COST`` per word of its gathered neighbour
+    rows and of its live rows; once the charge exceeds what the 0/1
+    squarings of the doubling search would cost to reach the same power,
+    ceil(log2 t) of them at (top - 1)·R^2·n/2 MACs for its R = ``rows``
+    first live rows, the search stops and returns 0.  A level still live
+    after n - 1 steps raises ``RuntimeError``, since m <= n - 1.
+    """
+    n, top = codes.shape[0], int(codes.max())
+    words = -(-n // 64)
+    square = (top - 1) * rows * rows * n / 2  # MACs of one 0/1 squaring
+    m, spent = 1, 0
+    for c in range(1, top):
+        target = _bit_rows(star <= c, words)  # packed before G_c's mask is made: one n^2 mask at a time
+        below = codes <= c
+        reach = _bit_rows(below, words)
+        live = np.flatnonzero((reach != target).any(axis=1))
+        if not live.size:
+            continue
+        deg, nbrs = np.count_nonzero(below, axis=1)[live], None
+        for step in range(1, n):
+            spent += _BIT_COST * (int(deg.sum()) + live.size) * words
+            if spent > (max(m, step + 1) - 1).bit_length() * square:
+                return 0
+            if nbrs is None:  # listed only once the guard lets the level's first step run
+                live, deg, nbrs = _neighbours(below, live, deg)
+                target = target[live]
+                del below
+            new = _or_rows(reach, nbrs, deg)
+            keep = (new != target).any(axis=1)
+            reach[live] = new
+            if not keep.any():
+                break
+            if not keep.all():
+                live, deg, target = live[keep], deg[keep], target[keep]
+                nbrs = nbrs[keep, : deg[0]]
+        else:
+            raise RuntimeError(f"level {c} of A^{n} is not A*'s although m <= n - 1 = {n - 1}: a step is wrong")
+        m = max(m, step + 1)
+    return m
+
+
+def _bit_rows(mask: np.ndarray, words: int) -> np.ndarray:
+    """The rows of a bool matrix packed 64 columns to a uint64 word, zero-padded to ``words`` a row."""
+    out = np.zeros((mask.shape[0], 8 * words), dtype=np.uint8)
+    out[:, : -(-mask.shape[1] // 8)] = np.packbits(mask, axis=1)
+    return out.view(np.uint64)
+
+
+def _neighbours(
+    adjacent: np.ndarray, live: np.ndarray, deg: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``live`` rows of a bool adjacency matrix and their degrees ``deg``, widest first, with their neighbours.
+
+    Row i of the (rows, widest) ``nbrs`` holds its row's neighbours in
+    increasing order, as :func:`_packed` walks them, padded with the row
+    itself, which every row of a dissimilarity's G_c neighbours through its
+    zero diagonal.
+    """
+    order = np.argsort(-deg, kind="stable")
+    live, deg = live[order], deg[order]
+    nbrs = np.repeat(live[:, None], deg[0], axis=1)
+    # a block's index temporaries take 8 bytes an entry, n entries a row at most
+    for rows, r, k, place, _ in _packed(deg, lambda rows: adjacent[live[rows]], lambda w: 8 * adjacent.shape[1]):
+        nbrs[rows[r], place] = k
+    return live, deg, nbrs
+
+
+def _or_rows(reach: np.ndarray, nbrs: np.ndarray, deg: np.ndarray) -> np.ndarray:
+    """Row i: the OR of the rows of ``reach`` at its ``deg[i]`` neighbours ``nbrs[i]``, rows widest first.
+
+    A block of consecutive rows is padded to its first row's width w with
+    each row's own index, which changes no OR, and gathers about
+    ``_BLOCK_BYTES`` of ``reach`` rows, (rows, w, words), which halving
+    ORs fold onto their first neighbour.
+    """
+    out = np.empty((deg.size, reach.shape[1]), dtype=reach.dtype)
+    s = 0
+    while s < deg.size:
+        w = int(deg[s])
+        e = s + max(1, _BLOCK_BYTES // (w * reach[0].nbytes))
+        terms = np.take(reach, nbrs[s:e, :w], axis=0)
+        while w > 1:
+            h = w // 2
+            np.bitwise_or(terms[:, :h], terms[:, w - h : w], out=terms[:, :h])
+            w -= h
+        out[s:e] = terms[:, 0]
+        s = e
+    return out
 
 
 def _steps_are_cheaper(
@@ -663,6 +792,17 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     m, and its fixpoint decodes to A*.  Both strategies return identical
     results.
 
+    Where the top code is at most ``_FEW_LEVELS`` and m > 1, m is first
+    sought level by level, without products (:func:`_reach_search`): at
+    level c, A^t <= c holds exactly where a walk of at most t edges, each
+    <= c, joins i and j, so t steps of a breadth-first search from every
+    point at once, on rows packed 64 points to a word, give (A^(t+1) <= c).
+    Each level runs until its rows equal (A* <= c); m is one more than the
+    most steps a level needs, and A^m = A* exactly, since codes that agree
+    at every level are equal.  The search hands over to the doublings when
+    its word-ops, at ``_BIT_COST`` 0/1 MACs each, outgrow the 0/1 squarings
+    that would reach the same power.
+
     Where the top code exceeds ``_FEW_LEVELS``, a doubling A^k -> A^(2k)
     is k products q <- A·q instead when those cost less than the squaring
     (:func:`_steps_are_cheaper`), and a step that reaches A* ends the
@@ -679,7 +819,8 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     left power still differs from A*.  The stop rule stays the paper's:
     square until the square equals the power squared, which is the
     squaring over zero live rows and costs nothing.  The result decodes the
-    last power of the chain, not the fill; both strategies return the sweep
+    last power of the chain, or the fill where the bit-parallel search has
+    shown it equal to A^m; both strategies return the sweep
     of the validated matrix, which skips the checks of
     :meth:`Dendrogram.from_matrix` that validation already made.
     """

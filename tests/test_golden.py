@@ -54,6 +54,23 @@ def stepping_inputs():
     return {"uniform-300": random_dissim(np.random.default_rng(300), 300), "tree-600": tree_dissim(600, 0, False)}
 
 
+def few_level_inputs():
+    """Inputs of at most four levels on which the search for m goes by bits, or hands over (the clique and path)."""
+    cells = np.random.default_rng(837).choice(45 * 45, 837, replace=False)
+    grid = np.stack(np.divmod(cells, 45), axis=1).astype(float)
+    clique_and_path = np.full((1000, 1000), 2.0)
+    clique_and_path[:500, :500] = 1.0  # a 500-clique, then a 500-point path from its last point: m = 501
+    i = np.arange(499, 999)
+    clique_and_path[i, i + 1] = clique_and_path[i + 1, i] = 1.0
+    np.fill_diagonal(clique_and_path, 0.0)
+    return {
+        "lattice-1600": pairwise_matrix(lattice_generate(LatticeConfig(5, 5, 8, 8))),
+        "integer-grid-837": pairwise_matrix(grid, metric="manhattan"),
+        "path-1000": path_dissim(1000),
+        "clique-path-1000": clique_and_path,
+    }
+
+
 def signed_graph():
     """A symmetric weight matrix with negative weights and inf for missing edges."""
     rng = np.random.default_rng(1919)
@@ -176,7 +193,7 @@ def compressed_outputs(workdir):
 def all_outputs(workdir):
     cases = inputs()
     out = {f"{name} {key}": value for name, a in cases.items() for key, value in library_outputs(a).items()}
-    for name, a in stepping_inputs().items():
+    for name, a in {**stepping_inputs(), **few_level_inputs()}.items():
         r = stabilize(a)
         out[f"{name} stabilize-doubling"] = digest(r.star, r.m, r.ultrametricity, r.power_trace)
     out["signed minimax_oracle"] = digest(minimax_oracle(signed_graph()))
@@ -208,6 +225,7 @@ DIGESTS = {
     'cli histogram --input star.csv --stage stabilized': 'f3b609d90e90a27e0f4acd9008372a8c9f687f30fcdb290940b1d6733d7025e8',
     'cli ultrametric --input holes.csv': '0455f8d261380a3676d49ec5d4e3538b67909171de373a0a48039c6cee0fb4fa',
     'cli ultrametric --input pts.csv --kind points': '5576605645c3656977bd1444a40eb05882d8835f76c54d593aa158fc48424b2b',
+    'clique-path-1000 stabilize-doubling': 'b3c74e5c9b8b17a22869e8f8310140397f8fbe142917f8e5b2214496c56edf20',
     'compressed generate .bz2': 'a0d5313da8d147a12d328bd27147373245f806635d01be8639f428e157c1ba14',
     'compressed generate .gz': '25ce5b55eae3b4a99df257047ee0704aadf2092a21bc3a30475f3ec438b5c20d',
     'compressed generate .lzma': 'e7df061312751235d39ffc8c9f4a5425a37881bdcc74bad0e4602e4919abbe0b',
@@ -236,6 +254,7 @@ DIGESTS = {
     'integer stabilize-linear': '1ef356c38fa8668a857585ece527666a250d080536f624e678e875ce63e46f92',
     'integer stabilize-linear-dendrogram': '92061f87a79fd2507f394b1acac494e208d3607f86ba2a5a9983d39cbe611caf',
     'integer subdominant': 'e9c74be7d512fc6f7efbd30527c8235ac7d1627309365949382ee14572b6080b',
+    'integer-grid-837 stabilize-doubling': '5a7e61bb2247ba5fa54c126286ca410d5a9e4f0ec78e57d9dd079d09815ded04',
     'lattice dendrogram': '1354f441f9d009593b2c2e3d7ada4f78e6a6cf6275682b88cc40cadf8d13fc52',
     'lattice dendrogram-binned': '1db4d1e5e4d54f22d948b595b70edbf542a8d051df6ab68a3586e1b3371d2994',
     'lattice dendrogram-cut': 'ac51ffe0f3bf5b452fa29db493ef6ec030b785cadcf6ca43e60524e02541135a',
@@ -248,6 +267,7 @@ DIGESTS = {
     'lattice stabilize-linear': 'bc00812016cf4479407e37f289c72f9bb2f7874ba980290738b950054405ddc2',
     'lattice stabilize-linear-dendrogram': 'f8279e374afb005ab058e982dd12a79d96b323b9b4aeac7742dbf65e8f5cd5fd',
     'lattice subdominant': '6917f174444866f0fc66a4e98117ede0028a1d91b3b882109bbc46eff7e870bf',
+    'lattice-1600 stabilize-doubling': '71645fc1225d19d6ea261275d79a573d5207bcf604a85e5d0ab2efbb478729ec',
     'path dendrogram': '2062a90bca75eea929274f7ebd07ee9628ea5f02b46a302e59a05fb5e30c100b',
     'path dendrogram-binned': '336ecd0e8df55aa803e94b8930e3d3ce51e50e36293a218ebf30dd8d0c36fb5e',
     'path dendrogram-cut': 'f0eb98b5b2954d9370323b3f6c9f00c39e9bdfee934af11a80f6d010dbf9f86d',
@@ -260,6 +280,7 @@ DIGESTS = {
     'path stabilize-linear': 'c29517f0455c5ef690637efe645f5ec412986c10e7765a9ab5bf7aa03d5df5ba',
     'path stabilize-linear-dendrogram': 'bdc1b2458f28d8d73f655263b4a51a6a61ffb5e413f6a91d5d6026e0eddc34e3',
     'path subdominant': '68ab0c40f99203652b57c9d1adbf14213d871ce4e65bcb5a9515e129d5f450b0',
+    'path-1000 stabilize-doubling': '064f2e799ccf5e07581b48e9f533350fb9744aa70a9bf8068c2e031f1d02eec4',
     'signed minimax_oracle': 'e487c670343544af56d259f75b9e00d93d4cfc00778d57736dafbc2af4c3168a',
     'tree-600 stabilize-doubling': 'ec55beee9215007d71eaef5707eb0204689eb877dbb1d9320b6311e2a3086d27',
     'uniform dendrogram': '9682a100fcfbe5956c2822d6b093faa4e430c29384dce929f7d96c1e1c99ed73',

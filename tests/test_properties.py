@@ -5,7 +5,9 @@ minimax path, the facts by which doubling settles rows and entries hold
 on the float powers, the sweep joins vertices as a scan of the outside
 ones did, few-level codes multiply as the broadcast kernel multiplies
 their float copies, a product by the transpose matches the
-naive product on every kernel, a step's kernel over the packed entries of
+naive product on every kernel, the bit-parallel search for m on few-level
+codes (run to its end or handed over to the doubling search) agrees with the
+float chain, a step's kernel over the packed entries of
 A below its top code gives minmax_product's rows, the packing walker of the gather kernels
 yields each entry of a mask once, widest rows first, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
@@ -268,6 +270,41 @@ def test_steps_at_some_doublings_match_linear(a, stepped):
         return live.size > 0 and k.bit_length() - 1 in stepped
 
     with mock.patch.object(semiring, "_steps_are_cheaper", chosen):
+        assert_strategies_agree(a)
+
+
+@st.composite
+def few_level_dissims(draw):
+    """Dissimilarities of 1 to _FEW_LEVELS tied weights, with long walks, dense or sparse levels and inf holes.
+
+    The orders put the packed rows at one word, at a word's edge and past it.
+    """
+    n = draw(st.sampled_from([1, 2, 3, 63, 64, 65, 128, 129]))
+    holes = draw(st.booleans())
+    top = draw(st.integers(1, semiring._FEW_LEVELS - holes))  # inf adds a code
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = np.full((n, n), float(top))
+    low = rng.random((n, n)) < draw(st.sampled_from([0.0, 0.01, 0.05, 0.5]))
+    a[low] = rng.integers(1, top + 1, np.count_nonzero(low))
+    # a walk through every point, its edges tied at a few weights: m up to n - 1
+    walk = rng.permutation(n)
+    a[walk[:-1], walk[1:]] = rng.integers(1, top + 1, n - 1)
+    if holes:
+        a[rng.random((n, n)) < draw(st.sampled_from([0.05, 0.5, 1.0]))] = INF
+    a = np.triu(a, 1)
+    return a + a.T
+
+
+@settings(max_examples=150, deadline=None)
+@given(few_level_dissims(), st.sampled_from([None, 0, 30, 300, INF]))
+@example(path_dissim(65), 0)  # a level of one long walk, past one word
+@example(two_components(64), 0)  # two trees of 64 points: inf between them
+@example(pairwise_matrix(lattice_generate(LatticeConfig(2, 2, 4, 4))), 300)
+def test_few_level_search_matches_linear(a, cost):
+    # ``cost`` None keeps the guard, 0 runs the bit-parallel search to its end,
+    # INF hands over before its first step, and the others somewhere between
+    bit_cost = semiring._BIT_COST if cost is None else cost
+    with mock.patch.object(semiring, "_BIT_COST", bit_cost):
         assert_strategies_agree(a)
 
 

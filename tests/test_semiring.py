@@ -6,10 +6,12 @@ import pytest
 
 from ultraclust import (
     Dendrogram,
+    LatticeConfig,
     ValidationError,
     distance_histogram,
     example1_matrix,
     identity,
+    lattice_generate,
     matrix_leq,
     minmax_product,
     pairwise_matrix,
@@ -369,12 +371,77 @@ class TestStabilize:
         assert dbl.m == lin.m and dbl.star.tobytes() == lin.star.tobytes()
 
     def test_few_level_codes_never_step(self, monkeypatch):
-        # whatever a step costs, few-level codes square by 0/1 BLAS products
+        # whatever a step costs, few-level codes search by bits or square
         monkeypatch.setattr(semiring, "_STEP_PASSES", -math.inf)
         monkeypatch.setattr(semiring, "_steps", lambda *args: pytest.fail("a few-level search stepped"))
         for a in (path_dissim(33), pairwise_matrix(np.indices((4, 6)).reshape(2, -1).T)):
             res = stabilize(a)
             assert res.m == stabilize(a, "linear").m
+
+    def test_lattice_finds_m_without_products(self, monkeypatch):
+        # the CLI's 4x4 lattice of 6x6 clusters: the bit-parallel search
+        # settles every level, so no 0/1 product and no other product is made
+        def refused(*args):
+            pytest.fail("the search made a product")
+
+        monkeypatch.setattr(semiring, "_threshold_product", refused)
+        monkeypatch.setattr(semiring, "minmax_product", refused)
+        a = pairwise_matrix(lattice_generate(LatticeConfig(4, 4, 6, 6)))
+        res = stabilize(a)
+        assert res.m == 16 and res.star.tobytes() == subdominant(a).tobytes()
+
+    @pytest.mark.parametrize("cost", [math.inf, 600, 300])
+    def test_search_hands_over_with_the_same_bytes(self, cost, monkeypatch):
+        # n=144 lattice: the search settles level 1 in 9 steps and level 2 in
+        # 6; at these costs it hands over before its first step, in level 1
+        # and in level 2, and the doubling search gives the same m and bytes
+        a = pairwise_matrix(lattice_generate(LatticeConfig(2, 2, 6, 6)))
+        calls, kernel = [], semiring._or_rows
+        monkeypatch.setattr(semiring, "_or_rows", lambda *args: calls.append(1) or kernel(*args))
+        monkeypatch.setattr(semiring, "_BIT_COST", 0)
+        found = stabilize(a)
+        assert len(calls) == 15 and found.m == 10
+        calls.clear()
+        monkeypatch.setattr(semiring, "_BIT_COST", cost)
+        res = stabilize(a)
+        assert len(calls) == {math.inf: 0, 600: 6, 300: 11}[cost]
+        assert res.m == found.m and res.star.tobytes() == found.star.tobytes() == subdominant(a).tobytes()
+
+    def test_search_stays_in_bounded_memory(self, monkeypatch):
+        # n=1600 lattice, run to its end: one n^2 mask of G_c at a time, the
+        # packed rows of G_c and of A* (n^2/8 bytes each) and blocks of about
+        # _BLOCK_BYTES; an (n, n) index array would take 8 n^2 bytes
+        a = pairwise_matrix(lattice_generate(LatticeConfig(5, 5, 8, 8)))
+        d = Dendrogram.from_matrix(a)
+        levels = d.levels()
+        codes = semiring._level_codes(a, levels)
+        star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
+        monkeypatch.setattr(semiring, "_BIT_COST", 0)
+        m, peak = peak_bytes(semiring._reach_search, codes, star, a.shape[0])
+        assert m == 26 == stabilize(a).m
+        assert peak < 1.5 * a.size + 2 * semiring._BLOCK_BYTES
+
+    def test_a_stuck_product_raises_instead_of_looping(self, monkeypatch):
+        # a product that never reaches A* must not keep the search doubling:
+        # m <= n - 1 bounds the doublings, and each level of the bit search
+        values = iter(range(10, 10**6))
+        made = []
+
+        def stuck(x, y):
+            made.append(1)
+            if len(made) > 100:
+                pytest.fail("the doubling search did not stop")
+            return np.full((x.shape[0], y.shape[1]), next(values) % 200 + 10, dtype=x.dtype)
+
+        monkeypatch.setattr(semiring, "_BIT_COST", math.inf)
+        monkeypatch.setattr(semiring, "minmax_product", stuck)
+        with pytest.raises(RuntimeError, match=r"m <= n - 1 = 32"):
+            stabilize(path_dissim(33))
+        assert len(made) == 7  # ceil(log2 33) + 1 doublings
+        monkeypatch.setattr(semiring, "_BIT_COST", 0)
+        monkeypatch.setattr(semiring, "_or_rows", lambda reach, nbrs, deg: np.zeros((deg.size, reach.shape[1]), reach.dtype))
+        with pytest.raises(RuntimeError, match=r"level 1 .* m <= n - 1 = 99"):
+            stabilize(path_dissim(100))
 
     def test_many_level_uniform_input_steps(self, rng, monkeypatch):
         # uniform n=300: A holds about 9 entries a row below top, A^2 about 60,
