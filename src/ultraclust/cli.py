@@ -66,15 +66,20 @@ def _auto_radius(hist) -> float | None:
 
 def cmd_analyze(args) -> int:
     a = _load_matrix(args)
+    n = a.shape[0]
+    before = _histogram_of(a).values.size  # a is valid: loaded and checked, or built from points
     result = stabilize(a)
-    hist = result.dendrogram.histogram()  # A*'s, from the sweep
+    # keep what the report reads, and let A*'s n^2 floats go before it is built
+    m, score, dendrogram = result.m, result.ultrametricity, result.dendrogram
+    del a, result
+    hist = dendrogram.histogram()  # A*'s, from the sweep
     report = {
-        "n": a.shape[0],
-        "m": result.m,
-        "clusterability": result.ultrametricity,
-        "ultrametricity": result.ultrametricity,
-        "is_ultrametric": result.m == 1,
-        "distinct_values_before": _histogram_of(a).values.size,  # a is valid: stabilize checked it
+        "n": n,
+        "m": m,
+        "clusterability": score,
+        "ultrametricity": score,
+        "is_ultrametric": m == 1,
+        "distinct_values_before": before,
         "distinct_values_after": hist.values.size,
         "estimated_k": estimate_num_clusters(hist.num_peaks),
         "suggested_radius": _auto_radius(hist),

@@ -113,10 +113,28 @@ def distance_histogram(a, mode: str = "distinct", bins: int | None = None) -> Di
 
 def _histogram_of(a: np.ndarray, mode: str = "distinct", bins: int | None = None) -> DistanceHistogram:
     """:func:`distance_histogram` of a matrix that is already a valid float64 dissimilarity."""
-    vals = a[np.triu(np.ones(a.shape, dtype=bool), 1)]
-    finite = vals[np.isfinite(vals)]
-    values, counts = np.unique(finite, return_counts=True)
-    return DistanceHistogram.of_counts(values, counts, vals.size - finite.size, mode, bins)
+    return DistanceHistogram.of_counts(*_upper_runs(a), mode, bins)
+
+
+def _upper_runs(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """The sorted distinct finite values of ``a``'s upper triangle, their counts and the count of inf.
+
+    The triangle is copied once, row by row, into one array and sorted in
+    place.  The distinct values and their counts are the runs of that sort,
+    and the infinite values, which sort last, are the overflow.  This costs
+    n(n - 1)/2 floats and as many bools beyond the results: no n^2 mask, no
+    finite copy and no copy inside ``np.unique``.  They are freed on return,
+    before the histogram is built from the results.
+    """
+    vals = np.concatenate([a[i, i + 1 :] for i in range(a.shape[0])])
+    vals.sort()
+    finite = vals[: np.searchsorted(vals, np.inf)]  # a valid matrix holds no NaN
+    new = np.empty(finite.size, dtype=bool)  # where a run of equal values starts
+    new[:1] = True
+    np.not_equal(finite[1:], finite[:-1], out=new[1:])
+    starts = np.flatnonzero(new)
+    counts = np.diff(starts, append=finite.size)
+    return finite[starts], counts, vals.size - finite.size
 
 
 def estimate_num_clusters(p: int) -> int:

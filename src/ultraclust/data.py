@@ -11,7 +11,10 @@ One writer writes every table as numpy's ``savetxt(path, table, fmt="%.17g",
 delimiter=",")`` does, byte for byte (an integer below 2**53 as ``%d``), but
 each block of rows formats only its distinct values: ``A*`` takes at most
 n + 1 values (0, the n - 1 merge heights of its dendrogram and ``inf``), so
-a block of its rows costs at most n + 1 ``%`` conversions.
+a block of its rows costs at most n + 1 ``%`` conversions.  The block's
+cells are gathered as records as wide as its widest value, not as wide as
+the widest float64 text, so a block of few-level ``A*`` rows ("0", "1",
+"4") gathers 2 bytes a cell, and needs no pass to drop padding.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ _CSV_BLOCK_BYTES = 128 << 10
 # right, and more by pairwise summation
 _PAIRWISE_SUM_TERMS = 8
 # "%.17g" of a float64 takes at most 24 characters, as in
-# "-2.2250738585072014e-308"; the writer pads every value to this width
+# "-2.2250738585072014e-308"; the writer formats every value padded to this
+# width, then cuts each block's records to its widest value
 _CSV_WIDTH = 24
 
 __all__ = [
@@ -299,18 +303,29 @@ def _csv_rows(rows: np.ndarray) -> str:
 
     The block's distinct values, keyed by their float64 bits (so -0.0 and
     0.0 stay apart and every NaN has a key), are formatted by one ``%``
-    call, each padded with spaces to ``_CSV_WIDTH`` and followed by a comma,
-    into fixed-width records.  The records are gathered in row order, each
-    row's last comma becomes a newline, and the padding is dropped.
+    call, each padded on the right with spaces to ``_CSV_WIDTH``.  Each is
+    then cut to the block's widest value and followed by a comma, into
+    records of one width.  The records are gathered in row order, each row's
+    last comma becomes a newline, and the padding is dropped; when every
+    value has the widest width there is none, and the gather is the text.
     """
     r, c = rows.shape
     # a 1-D key array: the shape of np.unique's inverse of n-D input changed in numpy 2.0
     keys, inverse = np.unique(rows.ravel().view(np.uint64), return_inverse=True)
-    text = (f"%-{_CSV_WIDTH}.17g," * keys.size) % tuple(keys.view(float).tolist())
-    records = np.frombuffer(text.encode("ascii"), f"V{_CSV_WIDTH + 1}")
-    cells = np.take(records, inverse).view(np.uint8).reshape(r, c * (_CSV_WIDTH + 1))
+    text = (f"%-{_CSV_WIDTH}.17g" * keys.size) % tuple(keys.view(float).tolist())
+    padded = np.frombuffer(text.encode("ascii"), np.uint8).reshape(keys.size, _CSV_WIDTH)
+    # a "%.17g" text holds no space, so a value is narrower than w exactly
+    # when its column w - 1 is a space: the loop stops at the widest width
+    width = _CSV_WIDTH
+    while (padded[:, width - 1] == ord(" ")).all():
+        width -= 1
+    records = np.empty((keys.size, width + 1), np.uint8)
+    records[:, :width], records[:, width] = padded[:, :width], ord(",")
+    cells = np.take(records.view(f"V{width + 1}")[:, 0], inverse).view(np.uint8).reshape(r, c * (width + 1))
     cells[:, -1] = ord("\n")
-    return cells[cells != ord(" ")].tobytes().decode("ascii")
+    if (padded[:, width - 1] == ord(" ")).any():
+        cells = cells[cells != ord(" ")]
+    return cells.tobytes().decode("ascii")
 
 
 def _save_table_csv(table, path, header: str = "") -> None:

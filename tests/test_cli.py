@@ -20,7 +20,7 @@ from ultraclust import (
 )
 from ultraclust import cli, clustering, data, errors, semiring, ultrametric
 from ultraclust.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VALIDATION, main
-from conftest import random_dissim
+from conftest import peak_bytes, random_dissim
 
 
 @pytest.fixture
@@ -344,6 +344,47 @@ class TestProductCounts:
         for path in raw_and_star:
             assert main([*argv, "--input", path]) == EXIT_OK
         assert products == []
+
+
+class TestMemory:
+    """Traced peaks of the lattice session's commands, in-process, in n^2 float64 units (n = 576).
+
+    Before the histogram read the runs of one sorted copy and ``analyze``
+    dropped A* before its report, ``analyze`` peaked at 3.64 and
+    ``histogram`` at 2.64; ``ultrametric`` (2.02) and ``cluster`` (1.16)
+    may not rise by more than 0.15 (0.38 MiB), against allocator and
+    version noise.
+    """
+
+    N = 576
+
+    @pytest.fixture(scope="class")
+    def session(self, tmp_path_factory):
+        d = tmp_path_factory.mktemp("session")
+        pts, star = str(d / "points.csv"), str(d / "star.csv")
+        assert main(["generate", "--grid", "4x4", "--cluster", "6x6", "--output", pts]) == EXIT_OK
+        assert main(["ultrametric", "--input", pts, "--kind", "points", "--output", star]) == EXIT_OK
+        return {
+            "analyze": ["analyze", "--input", pts, "--kind", "points", "--output", str(d / "report.json")],
+            "ultrametric": ["ultrametric", "--input", pts, "--kind", "points", "--output", star],
+            "cluster": ["cluster", "--input", star, "--radius", "auto", "--output", str(d / "clusters.csv")],
+            "histogram": ["histogram", "--input", star, "--mode", "binned", "--output", str(d / "hist.csv")],
+            "points": pts,
+        }
+
+    @pytest.mark.parametrize("command, bound", [("analyze", 2.5), ("histogram", 2.5),
+                                                ("ultrametric", 2.02 + 0.15), ("cluster", 1.16 + 0.15)])
+    def test_command_peaks(self, session, command, bound):
+        assert main(session[command]) == EXIT_OK  # once first, so one-time allocations are not counted
+        code, peak = peak_bytes(main, session[command])
+        assert code == EXIT_OK
+        assert peak < bound * 8 * self.N**2
+
+    def test_histogram_holds_half_a_matrix_and_its_runs(self, session):
+        a = data.pairwise_matrix(data.load_points_csv(session["points"]))
+        hist, peak = peak_bytes(clustering._histogram_of, a)
+        assert hist.counts.sum() == self.N * (self.N - 1) // 2
+        assert peak < 0.75 * 8 * self.N**2
 
 
 class TestGenerate:

@@ -190,6 +190,30 @@ def compressed_outputs(workdir):
     return out
 
 
+def writer_outputs(workdir):
+    """Named digests of the CSV writer where a block's values differ in width and where they all share one.
+
+    The 4x4 lattice of 6x6 clusters at spacing 0.25 and gap 0.75 has A* values
+    0, 0.25 and 1; at spacing 1 (gap 3) they are 0, 1 and 4.  The table mixes
+    the widest ``%.17g`` text, ``inf`` and one-digit values in every row.
+    """
+    out = {}
+    for spacing in ("0.25", "1"):
+        flags = ["--spacing", spacing] + ["--gap", "0.75"] * (spacing == "0.25")
+        pts, star = os.path.join(workdir, "lattice.csv"), os.path.join(workdir, "lattice-star.csv")
+        _run(["generate", "--grid", "4x4", "--cluster", "6x6", *flags, "--output", pts])
+        written = _run(["ultrametric", "--input", pts, "--kind", "points", "--output", star])
+        with open(star, "rb") as fh:
+            out["cli ultrametric lattice " + " ".join(flags)] = digest(*written, fh.read())
+    table = np.tile([[-2.2250738585072014e-308, np.inf, 3.0, 1.0, 0.0, 7.0],
+                     [9.0, 2.0, np.inf, -2.2250738585072014e-308, 5.0, 4.0]], (40, 1))
+    path = os.path.join(workdir, "table.csv")
+    save_matrix_csv(table, path)
+    with open(path, "rb") as fh:
+        out["save_matrix_csv widest, inf and one-digit values"] = digest(fh.read())
+    return out
+
+
 def all_outputs(workdir):
     cases = inputs()
     out = {f"{name} {key}": value for name, a in cases.items() for key, value in library_outputs(a).items()}
@@ -199,6 +223,7 @@ def all_outputs(workdir):
     out["signed minimax_oracle"] = digest(minimax_oracle(signed_graph()))
     out.update(cli_outputs(workdir, cases["holes"]))
     out.update(compressed_outputs(workdir))
+    out.update(writer_outputs(workdir))
     return out
 
 
@@ -225,6 +250,8 @@ DIGESTS = {
     'cli histogram --input star.csv --stage stabilized': 'f3b609d90e90a27e0f4acd9008372a8c9f687f30fcdb290940b1d6733d7025e8',
     'cli ultrametric --input holes.csv': '0455f8d261380a3676d49ec5d4e3538b67909171de373a0a48039c6cee0fb4fa',
     'cli ultrametric --input pts.csv --kind points': '5576605645c3656977bd1444a40eb05882d8835f76c54d593aa158fc48424b2b',
+    'cli ultrametric lattice --spacing 0.25 --gap 0.75': '155b36d48cdd9399106dd5caa37560da1531f0b41339ed1a2aa1489d28eb18f6',
+    'cli ultrametric lattice --spacing 1': '431e251df3fc55e4125df46883b6bec8c90ab2fb62b2fc46f15a3f2f634da625',
     'clique-path-1000 stabilize-doubling': 'b3c74e5c9b8b17a22869e8f8310140397f8fbe142917f8e5b2214496c56edf20',
     'compressed generate .bz2': 'a0d5313da8d147a12d328bd27147373245f806635d01be8639f428e157c1ba14',
     'compressed generate .gz': '25ce5b55eae3b4a99df257047ee0704aadf2092a21bc3a30475f3ec438b5c20d',
@@ -281,6 +308,7 @@ DIGESTS = {
     'path stabilize-linear-dendrogram': 'bdc1b2458f28d8d73f655263b4a51a6a61ffb5e413f6a91d5d6026e0eddc34e3',
     'path subdominant': '68ab0c40f99203652b57c9d1adbf14213d871ce4e65bcb5a9515e129d5f450b0',
     'path-1000 stabilize-doubling': '064f2e799ccf5e07581b48e9f533350fb9744aa70a9bf8068c2e031f1d02eec4',
+    'save_matrix_csv widest, inf and one-digit values': '4090da05fa1e784395c1d1270919852af856d311df4e68af3bb5938c420711e9',
     'signed minimax_oracle': 'e487c670343544af56d259f75b9e00d93d4cfc00778d57736dafbc2af4c3168a',
     'tree-600 stabilize-doubling': 'ec55beee9215007d71eaef5707eb0204689eb877dbb1d9320b6311e2a3086d27',
     'uniform dendrogram': '9682a100fcfbe5956c2822d6b093faa4e430c29384dce929f7d96c1e1c99ed73',

@@ -11,7 +11,8 @@ float chain, a step's kernel over the packed entries of
 A below its top code gives minmax_product's rows, the packing walker of the gather kernels
 yields each entry of a mask once, widest rows first, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
-clusterings nest, the spanning forest's dendrogram gives the histograms
+clusterings nest, the runs of the sorted upper triangle give the
+histogram that np.unique gives, the spanning forest's dendrogram gives the histograms
 and clusterings of A* and SciPy's single-linkage cuts, spheric clusterings
 reject exactly the matrices that are not ultrametric, CSV files read back
 exactly what was written, and the table writer writes the bytes of
@@ -33,9 +34,10 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 from hypothesis.extra.numpy import arrays  # noqa: E402
 
-from ultraclust import data  # noqa: E402
+from ultraclust import clustering, data  # noqa: E402
 from ultraclust import (  # noqa: E402
     Dendrogram,
+    DistanceHistogram,
     LatticeConfig,
     NotUltrametricError,
     distance_histogram,
@@ -609,6 +611,38 @@ def same_partition(x, y):
     return pairs.shape[0] == np.unique(x).size == np.unique(y).size
 
 
+def assert_same_histogram(got, want):
+    """Every field of two histograms equal, arrays in dtype, shape and bytes."""
+    for field in dataclasses.fields(want):
+        x, y = getattr(got, field.name), getattr(want, field.name)
+        assert type(x) is type(y)
+        if isinstance(y, np.ndarray):
+            assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+        else:
+            assert x == y
+
+
+def unique_histogram(a, mode, bins):
+    """The histogram as np.unique builds it: the finite values of the upper triangle, with inf as overflow."""
+    vals = a[np.triu_indices(a.shape[0], 1)]
+    finite = vals[np.isfinite(vals)]
+    values, counts = np.unique(finite, return_counts=True)
+    return DistanceHistogram.of_counts(values, counts, vals.size - finite.size, mode, bins)
+
+
+@settings(max_examples=200, deadline=None)
+@given(linkage_dissims())
+@example(np.zeros((1, 1)))  # one point: no pairs
+@example(symmetric(2, [3.0]))
+@example(symmetric(2, [INF]))
+@example(symmetric(5, [INF] * 10))  # every pair at inf
+@example(symmetric(5, [2.0, INF] * 5))  # one finite value between holes
+@example(path_dissim(9))  # ties: two values, one of them on 28 pairs
+def test_histogram_reads_the_runs_of_the_sorted_triangle(a):
+    for mode, bins in [("distinct", None), ("binned", None), ("binned", 1), ("binned", 3)]:
+        assert_same_histogram(clustering._histogram_of(a, mode, bins), unique_histogram(a, mode, bins))
+
+
 @settings(max_examples=200, deadline=None)
 @given(linkage_dissims())
 @example(np.zeros((1, 1)))  # one point: no pairs
@@ -620,14 +654,7 @@ def test_dendrogram_reads_the_fixpoint(a):
     u = subdominant(a)
     d = Dendrogram.from_matrix(a)
     for mode, bins in [("distinct", None), ("binned", None), ("binned", 1), ("binned", 3), ("binned", 50)]:
-        got, want = d.histogram(mode, bins), distance_histogram(u, mode, bins)
-        for field in dataclasses.fields(want):
-            x, y = getattr(got, field.name), getattr(want, field.name)
-            assert type(x) is type(y)
-            if isinstance(y, np.ndarray):
-                assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
-            else:
-                assert x == y
+        assert_same_histogram(d.histogram(mode, bins), distance_histogram(u, mode, bins))
     for strategy in ("linear", "doubling"):  # stabilize hands on its one sweep
         held = stabilize(a, strategy).dendrogram
         assert held.order.tobytes() == d.order.tobytes() and held.h.tobytes() == d.h.tobytes()
