@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .dendrogram import Dendrogram
-from .errors import ValidationError, _as_float, _check_integer
+from .errors import ValidationError, _as_float, _check_integer, _check_memory
 
 __all__ = [
     "StabilizationResult",
@@ -151,12 +151,12 @@ def minmax_product(a, b) -> np.ndarray:
     top, so C[i,j] is the min over the entries of row i below top, or top
     when the row has none.  Deleting terms equal to top changes no value,
     and without -0.0 equal values have equal bytes, so the result is the
-    broadcast kernel's, byte for byte.  :func:`_packed` packs the entries
-    below top, and each block's (rows, w, p) gather of ``b`` takes about
-    ``_BLOCK_BYTES``.  With w_i entries below top in row i the path costs
-    sum(w_i)·p element-ops against R·n·p for the broadcast kernel, R·n·p/2
-    for a squaring, and it is taken when it costs ``_SPARSE_COST`` times
-    less.  A NaN ``top`` equals no entry and so skips nothing.  Float
+    broadcast kernel's, byte for byte.  :func:`_pack_rows` packs the
+    entries below top, and :func:`_row_blocks` walks them in blocks whose
+    (rows, w, p) gather of ``b`` takes about ``_BLOCK_BYTES``.  With w_i
+    entries below top in row i the path costs sum(w_i)·p element-ops
+    against R·n·p for the broadcast kernel, R·n·p/2 for a squaring, and it
+    is taken when it costs ``_SPARSE_COST`` times less.  A NaN ``top`` equals no entry and so skips nothing.  Float
     operands with a sign bit set (negative values or -0.0) take neither
     this path nor the mirrored one below: they stay on the general
     broadcast kernel, because -0.0 == 0.0, so which zero a min returns
@@ -183,15 +183,16 @@ def minmax_product(a, b) -> np.ndarray:
         )
     if a.shape[1] == 0 < a.shape[0]:
         raise ValidationError(f"empty inner dimension: {a.shape} by {b.shape} has no entry to take")
+    need = a.shape[0] * b.shape[1] * a.itemsize
+    _check_memory(need, f"a {a.shape[0]} x {b.shape[1]} product needs {need / 2**20:.1f} MiB")
     signed = a.dtype.kind != "u" and bool(np.signbit(a).any() or np.signbit(b).any())
     symmetric = not signed and a.shape == b.shape[::-1] and np.array_equal(a, b.T)
     if a.size and b.size:
         top = np.maximum(a.max(), b.max())  # NaN if either operand holds one
         if a.dtype.kind == "u" and top <= _FEW_LEVELS:
             return _threshold_product(a, b, int(top), symmetric)
-        widths = np.count_nonzero(a != top, axis=1)
-        if _SPARSE_COST * (1 + symmetric) * widths.sum() < a.size and not signed:
-            return _sparse_product(a, b, top, widths)
+        if not signed and _SPARSE_COST * (1 + symmetric) * np.count_nonzero(a != top) < a.size:
+            return _sparse_product(a, b, top)
     out = np.empty((a.shape[0], b.shape[1]), dtype=a.dtype)
     block = max(1, _BLOCK_BYTES // max(b.nbytes, 1))
     for s in range(0, a.shape[0], block):
@@ -207,57 +208,94 @@ def minmax_product(a, b) -> np.ndarray:
     return out
 
 
-def _packed(widths: np.ndarray, mask_of, row_bytes):
-    """Blocks of a mask's True entries, packed row by row for a gather kernel.
+class _RowEntries(NamedTuple):
+    """The True entries of some rows of a mask, packed by row in O(sum w_i) memory.
 
-    ``widths[i]`` counts row i's True entries; ``mask_of(rows)`` returns those
-    rows of the mask.  Rows with entries go widest first, and a block starts
-    at a row of width w with as many rows as fit in ``_BLOCK_BYTES`` at
-    ``row_bytes(w)`` bytes each (at least one).  A block yields its ``rows``;
-    each entry's row ``r`` in the block, column ``k`` and ``place`` in its
-    row, row by row; and the (rows, w) ``cols``, cols[r, place] = k, padded
-    with column 0, which a kernel gathers through but keeps out of its results.
+    Row i's ``width[i]`` entries have their columns at
+    ``cols[start[i] : start[i] + width[i]]``, increasing; a row that was not
+    packed has width 0.
     """
-    order = np.argsort(-widths, kind="stable")[: np.count_nonzero(widths)]
-    s = 0
-    while s < order.size:
-        w = int(widths[order[s]])
-        rows = order[s : s + max(1, _BLOCK_BYTES // row_bytes(w))]
-        s += rows.size
-        mask = mask_of(rows)
-        r, k = np.divmod(np.flatnonzero(mask), mask.shape[1])
-        del mask  # freed before the kernel's gather
-        place = np.arange(r.size) - (np.cumsum(widths[rows]) - widths[rows])[r]
-        cols = np.zeros((rows.size, w), dtype=np.intp)
-        cols[r, place] = k
-        yield rows, r, k, place, cols
+
+    start: np.ndarray
+    width: np.ndarray
+    cols: np.ndarray
 
 
-def _sparse_product(a: np.ndarray, b: np.ndarray, top, widths: np.ndarray) -> np.ndarray:
-    """Min-max product over the ``widths[i]`` entries of each row of ``a`` below ``top``.
+def _pack_rows(mask_of, rows: np.ndarray, n: int) -> _RowEntries:
+    """The True entries in ``rows`` of a mask of n columns, packed in the order of ``rows``.
 
-    The :func:`_packed` values are padded with ``top``, which changes no
-    min, and rows with no entry below ``top`` stay ``top``.
+    ``mask_of(block)`` returns the mask's rows ``block``, a slice of
+    ``rows``; blocks are as many rows as keep the int64 index of a full
+    block near ``_BLOCK_BYTES``, and each block's mask is freed before the
+    next is made.
     """
+    width = np.zeros(int(rows.max(initial=-1)) + 1, dtype=np.intp)
+    cols = [np.empty(0, dtype=np.intp)]
+    block = max(1, _BLOCK_BYTES // (8 * n))
+    for s in range(0, rows.size, block):
+        mask = mask_of(rows[s : s + block])
+        width[rows[s : s + block]] = np.count_nonzero(mask, axis=1)
+        cols.append(np.flatnonzero(mask) % n)  # a 2-D np.nonzero takes 5x longer
+        del mask  # one block's mask at a time
+    start = np.zeros_like(width)
+    start[rows] = np.cumsum(width[rows]) - width[rows]
+    return _RowEntries(start, width, np.concatenate(cols))
+
+
+def _pack_below(a: np.ndarray, top, rows: np.ndarray) -> tuple[_RowEntries, np.ndarray]:
+    """The entries of ``a`` other than ``top`` in ``rows``, packed, and their values, gathered once."""
+    entries = _pack_rows(lambda block: a[block] != top, rows, a.shape[1])
+    return entries, a[np.repeat(rows, entries.width[rows]), entries.cols]
+
+
+def _row_blocks(entries: _RowEntries, rows: np.ndarray, row_bytes):
+    """The blocks of packed ``rows``, given widest first, that a gather kernel walks: (s, e, at) for rows[s:e].
+
+    A block starts at a row of width w and holds as many rows as fit in
+    ``_BLOCK_BYTES`` at ``row_bytes(w)`` bytes each, at least one, and the
+    walk stops at the first row of width 0.  ``at[i]`` holds the places in
+    ``entries.cols`` of row rows[s + i]'s entries, padded to w by repeating
+    its first entry, which changes no min and no OR.
+    """
+    width, first = entries.width[rows], entries.start[rows]
+    end, s = np.count_nonzero(width), 0
+    while s < end:
+        w = int(width[s])
+        e = min(end, s + max(1, _BLOCK_BYTES // row_bytes(w)))
+        place = np.arange(w)
+        at = place * (place < width[s:e, None])  # a padded place repeats place 0
+        at += first[s:e, None]
+        yield s, e, at
+        s = e
+
+
+def _sparse_product(a: np.ndarray, b: np.ndarray, top) -> np.ndarray:
+    """Min-max product over the entries of each row of ``a`` below ``top``; rows with none stay ``top``."""
     out = np.full((a.shape[0], b.shape[1]), top, dtype=a.dtype)
-    blocks = _packed(widths, lambda rows: a[rows] != top, lambda w: a[0].nbytes + w * b[0].nbytes)
-    for rows, r, k, place, cols in blocks:
-        vals = np.full(cols.shape, top, dtype=a.dtype)
-        vals[r, place] = a[rows[r], k]
-        out[rows] = _gather_min(vals, cols, b)
+    entries, vals = _pack_below(a, top, np.arange(a.shape[0]))
+    _rows_product(entries, vals, np.argsort(-entries.width, kind="stable"), b, out, scatter=True)
     return out
 
 
-def _gather_min(vals: np.ndarray, cols: np.ndarray, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """The row-sparse block kernel: row i is the min over t of max(vals[i, t], b[cols[i, t]]).
+def _rows_product(
+    entries: _RowEntries, vals: np.ndarray, rows: np.ndarray, b: np.ndarray, out: np.ndarray, scatter: bool = False
+) -> None:
+    """A[rows]·b by the row-sparse block kernel, from A's ``entries`` below top and their codes ``vals``.
 
-    ``vals`` and ``cols`` are a block's (rows, w) entries and their columns,
-    padded with an entry no smaller than any of b's; the (rows, w, p) gather
-    of b's rows is the block's one temporary, freed on return.
+    ``rows`` go widest first and b's entries are at most top, so row i is
+    the min over its entries k of max(A[i, k], b[k]).  Row rows[i] goes to
+    out[rows[i]] with ``scatter``, else to out[i]; a row with no entry is
+    left as it is.  A block's (rows, w, p) gather of b's rows and, with
+    ``scatter``, its (rows, p) result take about ``_BLOCK_BYTES``.
     """
-    terms = b[cols]  # (rows, w, p): row cols[i, t] of b
-    np.maximum(vals[:, :, None], terms, out=terms)
-    return terms.min(axis=1, out=out)
+    for s, e, at in _row_blocks(entries, rows, lambda w: (w + scatter) * b[0].nbytes):
+        terms = b[entries.cols[at]]  # (rows, w, p): row cols[at[i, t]] of b
+        np.maximum(vals[at][:, :, None], terms, out=terms)
+        if scatter:
+            out[rows[s:e]] = terms.min(axis=1)
+        else:
+            terms.min(axis=1, out=out[s:e])
+        del terms  # freed before the next block's gather
 
 
 def _threshold_product(a: np.ndarray, b: np.ndarray, top: int, symmetric: bool) -> np.ndarray:
@@ -305,6 +343,8 @@ def identity(n: int) -> np.ndarray:
     _check_integer(n, "identity order must be an integer")
     if n < 1:
         raise ValidationError(f"identity order must be positive, got {n}")
+    need = 8 * int(n) ** 2
+    _check_memory(need, f"identity order {n} needs a {need / 2**20:.1f} MiB matrix")
     e = np.full((n, n), np.inf)
     np.fill_diagonal(e, 0.0)
     return e
@@ -391,21 +431,6 @@ def _stabilize_linear(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
     return star, len(trace) + 1, trace
 
 
-def _level_codes(a: np.ndarray, levels: np.ndarray) -> np.ndarray:
-    """Entry v of ``a`` as the number of sorted ``levels`` below v.
-
-    The codes are the smallest unsigned dtype that holds ``levels.size``
-    (uint8 below 256 levels).  The map is non-decreasing, so it commutes with
-    min and max: the min-max product of codes is the code of the product.
-    Rows are coded in blocks, so the int64 index temporary stays small.
-    """
-    codes = np.empty(a.shape, dtype=np.min_scalar_type(levels.size))
-    block = max(1, _BLOCK_BYTES // (8 * a.shape[1]))
-    for s in range(0, a.shape[0], block):
-        codes[s : s + block] = np.searchsorted(levels, a[s : s + block])
-    return codes
-
-
 def _settle(
     p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, differ: np.ndarray, few: bool
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -463,22 +488,28 @@ def _entry_product(
 
     p and b are powers of one symmetric matrix, so p·b is symmetric and
     column j of b is its row j: entry (i, j) is the min over k of
-    max(p[i, k], b[j, k]), one row of p against one row of b.  A
-    :func:`_packed` block's (rows, n) copy of p's rows and (rows, w, n)
-    gather of b's rows take about ``_BLOCK_BYTES``, and its padding is not
-    read.  Returns the (live, live) mask of the computed entries that still
-    differ from ``star``.
+    max(p[i, k], b[j, k]), one row of p against one row of b.  The entries
+    of ``upper`` are packed by row, and a :func:`_row_blocks` block's
+    (rows, n) copy of p's rows and (rows, w, n) gather of b's rows take
+    about ``_BLOCK_BYTES``; its padding is computed but not scattered.
+    Returns the (live, live) mask of the computed entries that still differ
+    from ``star``.
     """
     differ = np.zeros(upper.shape, dtype=bool)
-    blocks = _packed(np.count_nonzero(upper, axis=1), upper.__getitem__, lambda w: (1 + w) * p[0].nbytes)
-    for rows, r, c, place, cols in blocks:
+    entries = _pack_rows(upper.__getitem__, np.arange(upper.shape[0]), upper.shape[1])
+    rows = np.argsort(-entries.width, kind="stable")
+    for s, e, at in _row_blocks(entries, rows, lambda w: (1 + w) * p[0].nbytes):
+        cols = entries.cols[at]
         terms = b[live[cols]]  # (rows, w, n): row live[cols[i, t]] of b
-        np.maximum(p[live[rows]][:, None, :], terms, out=terms)
-        v = terms.min(axis=2)[r, place]
+        np.maximum(p[live[rows[s:e]]][:, None, :], terms, out=terms)
+        v = terms.min(axis=2)
         del terms  # freed before the next block's gather
-        i, j = live[rows[r]], live[c]
+        width = entries.width[rows[s:e]]
+        real = np.arange(at.shape[1]) < width[:, None]  # not the padding
+        r, c, v = np.repeat(rows[s:e], width), cols[real], v[real]
+        i, j = live[r], live[c]
         out[i, j] = out[j, i] = v
-        differ[rows[r], c] = differ[c, rows[r]] = v != star[i, j]
+        differ[r, c] = differ[c, r] = v != star[i, j]
     return differ
 
 
@@ -490,33 +521,34 @@ def _stabilize_doubling(a: np.ndarray, d: Dendrogram) -> tuple[np.ndarray, int]:
     return levels[fixpoint], m
 
 
-def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """A's codes by ``levels`` and, unless they are few-level, w_i(A): row i's entries below A's top code.
+def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entry v of ``a`` as the number of sorted ``levels`` below v, and w_i: row i's entries below the top code.
 
-    Many-level codes come from one mask of A's entries below the top code,
-    made in row blocks as in :func:`_level_codes`: only those entries are
-    coded, since every other entry is top, and the mask's rows count the
-    w_i.  No n^2 mask outlives a block: one held until the first step
-    raised ``dense-random``'s peak RSS by 3.5 MiB in 5 of 8 runs.
+    The codes are the smallest unsigned dtype that holds ``levels.size``
+    (uint8 below 256 levels).  The map is non-decreasing, so it commutes
+    with min and max: the min-max product of codes is the code of the
+    product.  Only the entries below the top code are coded, by a mask made
+    in row blocks, whose rows count the w_i.  No n^2 mask outlives a block:
+    one held until the first step raised ``dense-random``'s peak RSS by
+    3.5 MiB in 5 of 8 runs.
     """
     top = np.searchsorted(levels, a.max())
-    if top <= _FEW_LEVELS:
-        return _level_codes(a, levels), None
+    bound = levels[top - 1] if top else -np.inf  # the largest level below the top code
     codes = np.full(a.shape, top, dtype=np.min_scalar_type(levels.size))
     widths = np.empty(a.shape[0], dtype=np.intp)
     block = max(1, _BLOCK_BYTES // (8 * a.shape[1]))
     for s in range(0, a.shape[0], block):
         rows = slice(s, s + block)
-        below = a[rows] <= levels[top - 1]
+        below = a[rows] <= bound
         codes[rows][below] = np.searchsorted(levels, a[rows][below])
         widths[rows] = np.count_nonzero(below, axis=1)
     return codes, widths
 
 
-def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | None) -> tuple[np.ndarray, int]:
-    """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star``.
+def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, int]:
+    """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star`` and w_i(A), A's ``widths``.
 
-    Few-level codes, which come without the ``widths`` w_i(A), first go to
+    Few-level codes, whose top code is at most ``_FEW_LEVELS``, first go to
     :func:`_reach_search` when some row of A differs from A*'s (m > 1); it
     returns m, with A*'s own codes as the fixpoint, or hands over to the
     doublings.  Each doubling A^k -> A^(2k) of many-level codes is a
@@ -527,7 +559,7 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | N
     decoded.  More doublings than m <= n - 1 allows raise ``RuntimeError``.
     """
     n, top = codes.shape[0], codes.max()
-    few = widths is None  # top is at most _FEW_LEVELS, and so is every power's top code
+    few = top <= _FEW_LEVELS  # and so is every power's top code
     entries = None  # A's live rows packed for the steps, once a doubling steps
     # live: the rows of a power that differ from A*; differ: those entries
     live, differ = _drop_settled(np.arange(n), codes != star)
@@ -545,8 +577,8 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray | N
         k, p = 1 << (len(sqs) - 1), sqs[-1]
         if not few and _steps_are_cheaper(p, top, widths, live, differ, k):
             if entries is None:  # a settled row never turns live again
-                entries = _pack_rows(codes, widths, top, live)
-            q, qlive, qdiffer, steps = _steps(entries, p, star, live, k)
+                entries, vals = _pack_below(codes, top, live)
+            q, qlive, qdiffer, steps = _steps(entries, vals, p, star, live, k)
             if not qlive.size:  # A^(k + steps) is A*, and A^(k + steps - 1) is not
                 return q, k + steps
         else:
@@ -602,23 +634,23 @@ def _reach_search(codes: np.ndarray, star: np.ndarray, rows: int) -> int:
         live = np.flatnonzero((reach != target).any(axis=1))
         if not live.size:
             continue
-        deg, nbrs = np.count_nonzero(below, axis=1)[live], None
+        deg, entries = np.count_nonzero(below, axis=1)[live], None
         for step in range(1, n):
             spent += _BIT_COST * (int(deg.sum()) + live.size) * words
             if spent > (max(m, step + 1) - 1).bit_length() * square:
                 return 0
-            if nbrs is None:  # listed only once the guard lets the level's first step run
-                live, deg, nbrs = _neighbours(below, live, deg)
-                target = target[live]
+            if entries is None:  # packed only once the guard lets the level's first step run
+                order = np.argsort(-deg, kind="stable")  # widest first, which dropping rows keeps
+                live, deg, target = live[order], deg[order], target[live[order]]
+                entries = _pack_rows(below.__getitem__, live, n)
                 del below
-            new = _or_rows(reach, nbrs, deg)
+            new = _or_rows(reach, entries, live)
             keep = (new != target).any(axis=1)
             reach[live] = new
             if not keep.any():
                 break
             if not keep.all():
                 live, deg, target = live[keep], deg[keep], target[keep]
-                nbrs = nbrs[keep, : deg[0]]
         else:
             raise RuntimeError(f"level {c} of A^{n} is not A*'s although m <= n - 1 = {n - 1}: a step is wrong")
         m = max(m, step + 1)
@@ -632,45 +664,23 @@ def _bit_rows(mask: np.ndarray, words: int) -> np.ndarray:
     return out.view(np.uint64)
 
 
-def _neighbours(
-    adjacent: np.ndarray, live: np.ndarray, deg: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The ``live`` rows of a bool adjacency matrix and their degrees ``deg``, widest first, with their neighbours.
+def _or_rows(reach: np.ndarray, entries: _RowEntries, rows: np.ndarray) -> np.ndarray:
+    """Row i: the OR of the rows of ``reach`` at the packed ``entries`` of rows[i], ``rows`` widest first.
 
-    Row i of the (rows, widest) ``nbrs`` holds its row's neighbours in
-    increasing order, as :func:`_packed` walks them, padded with the row
-    itself, which every row of a dissimilarity's G_c neighbours through its
-    zero diagonal.
+    A :func:`_row_blocks` block gathers about ``_BLOCK_BYTES`` of ``reach``
+    rows, (rows, w, words), which halving ORs fold onto their first
+    neighbour.  A row with no entry is 0.
     """
-    order = np.argsort(-deg, kind="stable")
-    live, deg = live[order], deg[order]
-    nbrs = np.repeat(live[:, None], deg[0], axis=1)
-    # a block's index temporaries take 8 bytes an entry, n entries a row at most
-    for rows, r, k, place, _ in _packed(deg, lambda rows: adjacent[live[rows]], lambda w: 8 * adjacent.shape[1]):
-        nbrs[rows[r], place] = k
-    return live, deg, nbrs
-
-
-def _or_rows(reach: np.ndarray, nbrs: np.ndarray, deg: np.ndarray) -> np.ndarray:
-    """Row i: the OR of the rows of ``reach`` at its ``deg[i]`` neighbours ``nbrs[i]``, rows widest first.
-
-    A block of consecutive rows is padded to its first row's width w with
-    each row's own index, which changes no OR, and gathers about
-    ``_BLOCK_BYTES`` of ``reach`` rows, (rows, w, words), which halving
-    ORs fold onto their first neighbour.
-    """
-    out = np.empty((deg.size, reach.shape[1]), dtype=reach.dtype)
-    s = 0
-    while s < deg.size:
-        w = int(deg[s])
-        e = s + max(1, _BLOCK_BYTES // (w * reach[0].nbytes))
-        terms = np.take(reach, nbrs[s:e, :w], axis=0)
+    out = np.zeros((rows.size, reach.shape[1]), dtype=reach.dtype)
+    for s, e, at in _row_blocks(entries, rows, lambda w: w * reach[0].nbytes):
+        terms = np.take(reach, entries.cols[at], axis=0)
+        w = at.shape[1]
         while w > 1:
             h = w // 2
             np.bitwise_or(terms[:, :h], terms[:, w - h : w], out=terms[:, :h])
             w -= h
         out[s:e] = terms[:, 0]
-        s = e
+        del terms  # freed before the next block's gather
     return out
 
 
@@ -696,60 +706,15 @@ def _steps_are_cheaper(
     return steps < square and steps < _SPARSE_COST * np.count_nonzero(p[live] != top) * r
 
 
-class _RowEntries(NamedTuple):
-    """Some rows of A's entries below its top code, packed by row in O(sum w_i) memory.
-
-    Row i's ``width[i]`` entries below ``top`` have their columns at
-    ``cols[start[i] : start[i] + width[i]]``, increasing, and their codes at
-    the same places of ``vals``.  Both arrays end with one padding entry,
-    column 0 and code ``top``, which index -1 reads.
-    """
-
-    start: np.ndarray
-    width: np.ndarray
-    cols: np.ndarray
-    vals: np.ndarray
-    top: np.integer
-
-
-def _pack_rows(codes: np.ndarray, widths: np.ndarray, top, rows: np.ndarray) -> _RowEntries:
-    """The entries of ``codes`` below ``top`` in ``rows``, whose rows hold ``widths`` of them, packed."""
-    r, cols = np.divmod(np.flatnonzero(codes[rows] != top), codes.shape[1])  # a 2-D np.nonzero takes 5x longer
-    start = np.zeros_like(widths)
-    start[rows] = np.cumsum(widths[rows]) - widths[rows]
-    vals = np.append(codes[rows[r], cols], top)
-    return _RowEntries(start, widths, np.append(cols, 0), vals, top)
-
-
-def _rows_product(entries: _RowEntries, rows: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
-    """out = A[rows]·b, by the row-sparse block kernel over the packed ``entries``.
-
-    ``rows`` go widest first and b's entries are at most top, as in
-    :func:`_sparse_product`: a block of consecutive rows is padded to its
-    first row's width w with the padding entry, which changes no min, and
-    holds as many rows as keep its (rows, w, p) gather of b near
-    ``_BLOCK_BYTES``.  Rows with no entry below top are top.
-    """
-    width = entries.width[rows]
-    s = 0
-    while s < rows.size and width[s]:
-        w = int(width[s])
-        e = s + max(1, _BLOCK_BYTES // (w * b[0].nbytes))
-        place = np.arange(w)
-        at = np.where(place < width[s:e, None], entries.start[rows[s:e], None] + place, -1)
-        _gather_min(entries.vals[at], entries.cols[at], b, out[s:e])
-        s = e
-    out[s:] = entries.top
-
-
 def _steps(
-    entries: _RowEntries, p: np.ndarray, star: np.ndarray, live: np.ndarray, k: int
+    entries: _RowEntries, vals: np.ndarray, p: np.ndarray, star: np.ndarray, live: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """A^(2k) from p = A^k by k steps q <- A·q over the live rows, or A* in fewer.
 
     Powers of one symmetric matrix commute, so A·A^j = A^j·A = A^(j+1), and
-    with A on the left a step reads only A's ``entries`` below top, packed
-    once a search, through :func:`_rows_product`.  A step computes whole
+    with A on the left a step reads only A's ``entries`` below top and their
+    codes ``vals``, packed once a search, through :func:`_rows_product`;
+    every row holds its zero diagonal, so none is empty.  A step computes whole
     rows, so q needs no column gather, and A* <= A^(j+1) <= A^j entrywise,
     so a row equal to A*'s stays equal: each step computes only the rows
     that the last one left different from ``star``, and writes them into q
@@ -764,7 +729,7 @@ def _steps(
     rows, srows = np.empty((2, live.size, q.shape[1]), dtype=q.dtype)
     for step in range(1, k + 1):
         r = live.size
-        _rows_product(entries, live, q, rows[:r])
+        _rows_product(entries, vals, live, q, rows[:r])
         np.take(star, live, axis=0, out=srows[:r], mode="clip")  # only mode="raise" buffers out
         differ = rows[:r] != srows[:r]  # the one comparison with A*'s rows
         q[live] = rows[:r]
@@ -806,11 +771,9 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     Where the top code exceeds ``_FEW_LEVELS``, a doubling A^k -> A^(2k)
     is k products q <- A·q instead when those cost less than the squaring
     (:func:`_steps_are_cheaper`), and a step that reaches A* ends the
-    search with m.  Such codes come from one mask of A's entries below its
-    top code: only those are coded, and at the first step A's live rows of
-    them are packed once, as (column, code) by row.  Every step multiplies
-    its live rows through that packing by the row-sparse block kernel of
-    :func:`minmax_product`, without calling it.
+    search with m.  At the first step A's live rows of entries below the top
+    code are packed once, and every step multiplies its live rows through
+    that packing by the row-sparse block kernel of :func:`minmax_product`.
 
     Each ``doubling`` product computes only what can still change: the
     sweep's dendrogram fills A*'s codes once, and since A* <= A^(k+j) <= A^k

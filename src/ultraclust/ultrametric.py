@@ -13,7 +13,7 @@ import numpy as np
 
 from .dendrogram import Dendrogram
 from .errors import NotUltrametricError, ValidationError, _as_float
-from .semiring import _level_codes, minmax_product, stabilize, validate_dissimilarity
+from .semiring import _search_codes, minmax_product, stabilize, validate_dissimilarity
 
 __all__ = [
     "clusterability",
@@ -33,7 +33,7 @@ def is_ultrametric(a) -> bool:
     with min and max, so the test holds for the codes exactly when for A.
     """
     a = validate_dissimilarity(a)
-    codes = _level_codes(a, np.unique(a))
+    codes = _search_codes(a, np.unique(a))[0]
     return np.array_equal(minmax_product(codes, codes), codes)
 
 

@@ -8,8 +8,9 @@ their float copies, a product by the transpose matches the
 naive product on every kernel, the bit-parallel search for m on few-level
 codes (run to its end or handed over to the doubling search) agrees with the
 float chain, a step's kernel over the packed entries of
-A below its top code gives minmax_product's rows, the packing walker of the gather kernels
-yields each entry of a mask once, widest rows first, the levels that code the powers are the
+A below its top code gives minmax_product's rows, the packing and the block walker of
+the gather kernels yield each entry of a mask once, widest rows first, the
+bit-parallel kernel ORs the rows a dense OR gives, the levels that code the powers are the
 values of A*, the power chain falls to A*, spheric
 clusterings nest, the runs of the sorted upper triangle give the
 histogram that np.unique gives, the spanning forest's dendrogram gives the histograms
@@ -230,9 +231,9 @@ def test_doubling_matches_linear_at_the_uint8_boundary(n, seed, isolated, step_p
         dtypes.add(np.asarray(x).dtype)
         return orig(x, y)
 
-    def stepped(entries, rows, b, out):
-        dtypes.update((entries.vals.dtype, b.dtype))
-        return kernel(entries, rows, b, out)
+    def stepped(entries, vals, rows, b, out, scatter=False):
+        dtypes.update((vals.dtype, b.dtype))
+        return kernel(entries, vals, rows, b, out, scatter)
 
     passes = semiring._STEP_PASSES if step_passes is None else step_passes
     with mock.patch.object(semiring, "_STEP_PASSES", passes):
@@ -397,7 +398,7 @@ def with_square(c, rows):
 
 def coded(a, dtype=np.uint8):
     """The level codes of ``a`` by its distinct values."""
-    return semiring._level_codes(a, np.unique(a)).astype(dtype)
+    return semiring._search_codes(a, np.unique(a))[0].astype(dtype)
 
 
 @settings(max_examples=300, deadline=None)
@@ -417,11 +418,11 @@ def test_step_rows_match_the_product(operands, block):
     # minmax_product(A[rows], q), in blocks of ``block`` rows at width 1
     a, q, rows = operands
     top = a.max()
-    entries = semiring._pack_rows(a, np.count_nonzero(a != top, axis=1), top, rows)
-    rows = rows[np.argsort(-entries.width[rows], kind="stable")]  # widest first, as the steps order them
-    out = np.empty((rows.size, q.shape[1]), a.dtype)
+    entries, vals = semiring._pack_below(a, top, rows)
+    rows = rows[np.argsort(-entries.width[rows], kind="stable")]  # as the steps order them
+    out = np.full((rows.size, q.shape[1]), top, a.dtype)  # rows with no entry below top stay top
     with mock.patch.object(semiring, "_BLOCK_BYTES", block * q[0].nbytes):
-        semiring._rows_product(entries, rows, q, out)
+        semiring._rows_product(entries, vals, rows, q, out)
     assert out.tobytes() == minmax_product(a[rows], q).tobytes()
 
 
@@ -523,9 +524,9 @@ def test_products_by_the_transpose_match_the_naive_product(operands, rows, spars
     # too; with ``sparse`` every operand allowed the row-sparse path takes it
     taken = []
 
-    def recorded(x, y, top, widths, _orig=semiring._sparse_product):
-        taken.append(widths)
-        return _orig(x, y, top, widths)
+    def recorded(x, y, top, _orig=semiring._sparse_product):
+        taken.append(top)
+        return _orig(x, y, top)
 
     cost = 0 if sparse else semiring._SPARSE_COST
     with mock.patch.object(semiring, "_TILE_BYTES", 4 * a.shape[1] * rows), \
@@ -540,34 +541,101 @@ def test_products_by_the_transpose_match_the_naive_product(operands, rows, spars
         assert len(taken) == (not (np.signbit(a).any() or np.signbit(b).any()))
 
 
+@st.composite
+def packed_masks(draw):
+    """A bool mask and some of its rows, in any order."""
+    mask = draw(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))))
+    rows = draw(st.permutations(range(mask.shape[0])))[: draw(st.integers(0, mask.shape[0]))]
+    return mask, np.array(rows, dtype=np.intp)
+
+
+def all_rows(mask):
+    return mask, np.arange(mask.shape[0])
+
+
+STAIRS = np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 1, 1]], bool)
+
+
 @settings(max_examples=300, deadline=None)
-@given(arrays(bool, st.tuples(st.integers(1, 12), st.integers(1, 12))), st.integers(1, 1 << 21))
-@example(np.zeros((3, 4), bool), 1)  # no entry: no block
-@example(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 1, 1]], bool), 1)  # one block
-@example(np.array([[0, 1, 1], [0, 0, 0], [1, 0, 0], [1, 1, 1]], bool), semiring._BLOCK_BYTES + 1)  # a row a block
-def test_packed_blocks_hold_each_entry_once(mask, bytes_per_entry):
-    widths = np.count_nonzero(mask, axis=1)
+@given(packed_masks(), st.integers(1, 1 << 21), st.integers(1, 1 << 21))
+@example(all_rows(np.zeros((3, 4), bool)), 1, semiring._BLOCK_BYTES)  # no entry: no block
+@example(all_rows(STAIRS), 1, semiring._BLOCK_BYTES)  # one block
+@example(all_rows(STAIRS), semiring._BLOCK_BYTES + 1, semiring._BLOCK_BYTES)  # a row a block
+@example((STAIRS, np.array([3, 1, 0])), 1, 8 * 3)  # a mask block a row, an unpacked row
+def test_packed_blocks_hold_each_entry_once(operands, bytes_per_entry, budget):
+    mask, rows = operands
+    n = mask.shape[1]
     row_bytes = lambda w: bytes_per_entry * w  # noqa: E731
-    seen, taken, blocks = np.zeros(mask.shape, int), [], 0
-    for rows, r, k, place, cols in semiring._packed(widths, mask.__getitem__, row_bytes):
-        w, left = widths[rows[0]], np.count_nonzero(widths) - len(taken)
-        # as many rows as the budget holds at the first row's width, at least one
-        assert rows.size == min(left, max(1, semiring._BLOCK_BYTES // row_bytes(w)))
-        assert cols.shape == (rows.size, w)
-        assert r.size == k.size == place.size == widths[rows].sum()
-        np.add.at(seen, (rows[r], k), 1)
-        assert np.array_equal(cols[r, place], k)
-        for i, row in enumerate(rows):
-            # the row's columns in order, then padding with column 0
-            assert np.array_equal(cols[i], np.pad(np.flatnonzero(mask[row]), (0, w - widths[row])))
-            assert np.array_equal(place[r == i], np.arange(widths[row]))
-        taken.extend(rows.tolist())
-        blocks += 1
-    assert np.array_equal(seen, mask)  # every True entry exactly once, nothing else
-    assert sorted(taken) == np.flatnonzero(widths).tolist()  # each row with entries once
-    assert np.all(np.diff(widths[taken]) <= 0)  # widest first
-    if bytes_per_entry > semiring._BLOCK_BYTES:
-        assert blocks == len(taken)  # a row a block
+    made = []
+
+    def mask_of(block):
+        made.append(block.size)
+        return mask[block]
+
+    with mock.patch.object(semiring, "_BLOCK_BYTES", budget):
+        entries = semiring._pack_rows(mask_of, rows, n)
+        order = rows[np.argsort(-entries.width[rows], kind="stable")]
+        blocks = list(semiring._row_blocks(entries, order, row_bytes))
+    # the rows' masks in blocks of as many rows as the budget holds at 8 bytes an entry
+    size = max(1, budget // (8 * n))
+    assert made == [min(size, rows.size - s) for s in range(0, rows.size, size)]
+    # the rows' columns, increasing, packed in the order of ``rows``; other rows are empty
+    assert np.array_equal(entries.cols, np.flatnonzero(mask[rows]) % n)
+    for i in range(entries.width.size):
+        packed = entries.cols[entries.start[i] : entries.start[i] + entries.width[i]]
+        assert np.array_equal(packed, np.flatnonzero(mask[i]) if i in rows else [])
+    assert np.all(np.diff(entries.width[order]) <= 0)  # widest first
+    seen, end = np.zeros(mask.shape, int), 0
+    for s, e, at in blocks:
+        w, left = entries.width[order[s]], np.count_nonzero(entries.width[order]) - s
+        # consecutive blocks of as many rows as the budget holds at the first row's width, at least one
+        assert s == end and e - s == min(left, max(1, budget // row_bytes(w)))
+        assert at.shape == (e - s, w)
+        for row, places in zip(order[s:e], at):
+            width = entries.width[row]
+            assert width > 0  # no block holds an empty row
+            assert np.all(places[width:] == places[0])  # padding repeats the first entry
+            np.add.at(seen, (row, entries.cols[places[:width]]), 1)
+        end = e
+    assert end == np.count_nonzero(entries.width)
+    want = np.zeros(mask.shape, int)
+    want[rows] = mask[rows]
+    assert np.array_equal(seen, want)  # every True entry of ``rows`` exactly once, nothing else
+
+
+def or_operands(widths, words):
+    """A mask whose rows hold ``widths`` neighbours among 2 * max(widths) + 1, all its rows, and reach rows of ``words`` words."""
+    n = 2 * max(widths) + 1
+    mask = np.zeros((len(widths), n), bool)
+    for i, w in enumerate(widths):
+        mask[i, np.arange(i, i + w) % n] = True
+    reach = np.random.default_rng(len(widths)).random((n, 64 * words)) < 0.3
+    return all_rows(mask), reach
+
+
+@st.composite
+def bit_rows(draw):
+    """A packed neighbour mask and reach rows of up to 130 columns, one per neighbour."""
+    mask, rows = draw(packed_masks())
+    reach = draw(arrays(bool, st.tuples(st.just(mask.shape[1]), st.integers(1, 130))))
+    return (mask, rows), reach
+
+
+@settings(max_examples=200, deadline=None)
+@given(bit_rows(), st.integers(1, 1 << 12))
+@example(or_operands([1, 1, 1, 1], 1), semiring._BLOCK_BYTES)  # rows of width 1
+@example(or_operands([7, 2, 1, 1, 2], 2), 8 * 2 * 7)  # one wide row alone in its block
+@example(or_operands([3, 3, 2, 1], 1), 1)  # a budget of one row
+def test_or_rows_match_the_dense_or(operands, budget):
+    # row i of _or_rows is the OR of the reach rows at the neighbours of rows[i]
+    (mask, rows), reach = operands
+    words = -(-reach.shape[1] // 64)
+    with mock.patch.object(semiring, "_BLOCK_BYTES", budget):
+        entries = semiring._pack_rows(mask.__getitem__, rows, mask.shape[1])
+        rows = rows[np.argsort(-entries.width[rows], kind="stable")]
+        out = semiring._or_rows(semiring._bit_rows(reach, words), entries, rows)
+    want = (mask[rows].astype(np.intp) @ reach.astype(np.intp)) > 0  # a row without neighbours is 0
+    assert out.tobytes() == semiring._bit_rows(want, words).tobytes()
 
 
 @settings(max_examples=100, deadline=None)

@@ -24,7 +24,7 @@ from ultraclust import (
     sup_ultrametrics,
     validate_dissimilarity,
 )
-from ultraclust import semiring
+from ultraclust import errors, semiring
 from conftest import path_dissim, peak_bytes, random_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
@@ -156,9 +156,8 @@ class TestProduct:
         wide[live[r // 2]] = wide[:, live[r // 2]] = rng.integers(1, top, n)
         wide[live[r // 2], live[r // 2]] = 0
         for a in (c, wide):
-            widths = np.count_nonzero(a != top, axis=1)
-            entries = semiring._pack_rows(a, widths, a.dtype.type(top), live)
-            (q, qlive, differ, steps), peak = peak_bytes(semiring._steps, entries, a, np.zeros_like(a), live, 2)
+            entries, vals = semiring._pack_below(a, a.dtype.type(top), live)
+            (q, qlive, differ, steps), peak = peak_bytes(semiring._steps, entries, vals, a, np.zeros_like(a), live, 2)
             rows = r * n * a.itemsize
             assert peak < q.nbytes + 3 * rows + r * n + semiring._BLOCK_BYTES
             assert steps == 2 and np.array_equal(qlive, live) and differ.shape == (r, r)
@@ -168,6 +167,17 @@ class TestProduct:
             want = once.copy()
             want[live] = minmax_product(a[live], once)
             assert np.array_equal(q, want)
+
+    def test_products_beyond_memory_rejected_up_front(self, monkeypatch):
+        # a 4 MiB machine is simulated: the 7.6 MiB results are refused before
+        # they are allocated, and uint8 codes count one byte an entry
+        monkeypatch.setattr(errors, "_physical_memory", lambda: 4 * 2**20)
+        with pytest.raises(ValidationError, match=r"^identity order 1000 needs a 7\.6 MiB matrix, more than the 4\.0 MiB"):
+            identity(1000)
+        with pytest.raises(ValidationError, match=r"^a 1000 x 1000 product needs 7\.6 MiB, more than the 4\.0 MiB"):
+            minmax_product(np.ones((1000, 1)), np.ones((1, 1000)))
+        assert minmax_product(np.ones((1000, 1), np.uint8), np.ones((1, 1000), np.uint8)).shape == (1000, 1000)
+        assert identity(2).shape == (2, 2)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -414,7 +424,7 @@ class TestStabilize:
         a = pairwise_matrix(lattice_generate(LatticeConfig(5, 5, 8, 8)))
         d = Dendrogram.from_matrix(a)
         levels = d.levels()
-        codes = semiring._level_codes(a, levels)
+        codes = semiring._search_codes(a, levels)[0]
         star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
         monkeypatch.setattr(semiring, "_BIT_COST", 0)
         m, peak = peak_bytes(semiring._reach_search, codes, star, a.shape[0])
@@ -439,7 +449,7 @@ class TestStabilize:
             stabilize(path_dissim(33))
         assert len(made) == 7  # ceil(log2 33) + 1 doublings
         monkeypatch.setattr(semiring, "_BIT_COST", 0)
-        monkeypatch.setattr(semiring, "_or_rows", lambda reach, nbrs, deg: np.zeros((deg.size, reach.shape[1]), reach.dtype))
+        monkeypatch.setattr(semiring, "_or_rows", lambda reach, entries, rows: np.zeros((rows.size, reach.shape[1]), reach.dtype))
         with pytest.raises(RuntimeError, match=r"level 1 .* m <= n - 1 = 99"):
             stabilize(path_dissim(100))
 
@@ -448,8 +458,8 @@ class TestStabilize:
         # so k steps by A cost less than the squaring of A^k for k = 2 and 4
         made = []
 
-        def recorded(entries, p, star, live, k, _orig=semiring._steps):
-            out = _orig(entries, p, star, live, k)
+        def recorded(entries, vals, p, star, live, k, _orig=semiring._steps):
+            out = _orig(entries, vals, p, star, live, k)
             made.append((k, out[3]))
             return out
 
