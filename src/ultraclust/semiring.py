@@ -156,12 +156,13 @@ def minmax_product(a, b) -> np.ndarray:
     (rows, w, p) gather of ``b`` takes about ``_BLOCK_BYTES``.  With w_i
     entries below top in row i the path costs sum(w_i)·p element-ops
     against R·n·p for the broadcast kernel, R·n·p/2 for a squaring, and it
-    is taken when it costs ``_SPARSE_COST`` times less.  A NaN ``top`` equals no entry and so skips nothing.  Float
-    operands with a sign bit set (negative values or -0.0) take neither
-    this path nor the mirrored one below: they stay on the general
-    broadcast kernel, because -0.0 == 0.0, so which zero a min returns
-    depends on the order of its terms, and ``np.array_equal`` takes
-    operands that differ only in the sign of a zero for transposes.
+    is taken when it costs ``_SPARSE_COST`` times less.  A NaN ``top``
+    equals no entry and so skips nothing.  Float operands with a sign bit
+    set (negative values or -0.0) take neither this path nor the mirrored
+    one below: they stay on the general broadcast kernel, because
+    -0.0 == 0.0, so which zero a min returns depends on the order of its
+    terms, and ``np.array_equal`` takes operands that differ only in the
+    sign of a zero for transposes.
 
     A squaring of a symmetric power has ``b`` equal to ``a``'s transpose,
     which is tested exactly, in O(R·n) for R x n operands against the
