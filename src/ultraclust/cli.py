@@ -102,7 +102,7 @@ def cmd_ultrametric(args) -> int:
 
 def cmd_cluster(args) -> int:
     # A*'s dendrogram from one spanning-forest sweep: no min-max product, no n^2 A*
-    dendrogram = Dendrogram.from_matrix(_load_matrix(args))
+    dendrogram = Dendrogram._sweep(_load_matrix(args))
     if args.radius == "auto":
         radius = _auto_radius(dendrogram.histogram())
         if radius is None:
@@ -132,7 +132,7 @@ def cmd_histogram(args) -> int:
         tables = [_histogram_table(_histogram_of(p, args.mode, args.bins)) for p in power_chain(a)]
         table = np.vstack([np.column_stack((np.full(len(t), k), t)) for k, t in enumerate(tables, 1)])
     elif args.stage == "stabilized":  # A*'s, from the sweep: no n^2 fill
-        table = _histogram_table(Dendrogram.from_matrix(a).histogram(args.mode, args.bins))
+        table = _histogram_table(Dendrogram._sweep(a).histogram(args.mode, args.bins))
     else:
         table = _histogram_table(_histogram_of(a, args.mode, args.bins))
     _save_table_csv(table, args.output or sys.stdout)

@@ -64,7 +64,7 @@ def spheric_clustering(u, r: float) -> Clustering:
     gives u back; the clusters are then that dendrogram's cut at r.
     """
     u = validate_dissimilarity(u)
-    d = Dendrogram.from_matrix(u)
+    d = Dendrogram._sweep(u)
     if not np.array_equal(d.fill(), u):
         raise NotUltrametricError(
             "spheric clustering requires an ultrametric matrix; "

@@ -104,8 +104,8 @@ class Dendrogram:
     def _sweep(cls, w: np.ndarray) -> Dendrogram:
         """The Prim sweep of :meth:`from_matrix`, on a float64 ``w`` that its checks passed.
 
-        A matrix from ``validate_dissimilarity`` passes them, so ``stabilize``
-        sweeps it without repeating them.
+        A matrix from ``validate_dissimilarity`` passes them, so every reader
+        of a validated matrix sweeps it without repeating them.
         """
         n = w.shape[0]
         key = np.full(n, np.inf)  # lightest edge from the forest grown so far; inf inside it

@@ -395,7 +395,7 @@ class StabilizationResult:
     ``ultrametricity`` the ratio n/m.  ``star`` holds the input's float64
     values under either strategy.  ``power_trace`` records how many
     entries changed at each multiplication step (linear strategy only).
-    ``dendrogram`` is the input's sweep ``Dendrogram.from_matrix(a)``, whose
+    ``dendrogram`` is the spanning-forest sweep of the validated input, whose
     ``histogram`` and ``cut`` read A* without the n^2 ``star``.
     """
 
@@ -514,14 +514,6 @@ def _entry_product(
     return differ
 
 
-def _stabilize_doubling(a: np.ndarray, d: Dendrogram) -> tuple[np.ndarray, int]:
-    levels = d.levels()
-    codes, widths = _search_codes(a, levels)
-    star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
-    fixpoint, m = _doubling_search(codes, star, widths)
-    return levels[fixpoint], m
-
-
 def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entry v of ``a`` as the number of sorted ``levels`` below v, and w_i: row i's entries below the top code.
 
@@ -546,18 +538,23 @@ def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.nda
     return codes, widths
 
 
-def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) -> tuple[np.ndarray, int]:
-    """The fixpoint of the powers of ``codes`` and m, given A*'s codes ``star`` and w_i(A), A's ``widths``.
+def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) -> int:
+    """m for the powers of ``codes``, given A*'s codes ``star`` and w_i(A), A's ``widths``.
 
-    Few-level codes, whose top code is at most ``_FEW_LEVELS``, first go to
-    :func:`_reach_search` when some row of A differs from A*'s (m > 1); it
-    returns m, with A*'s own codes as the fixpoint, or hands over to the
-    doublings.  Each doubling A^k -> A^(2k) of many-level codes is a
-    squaring or, when :func:`_steps_are_cheaper`, k steps q <- A·q;
-    few-level codes always square.  The first step packs A's live rows of
-    entries below top once for every later step.  Only the fixpoint
-    outlives the call, so the powers and masks are freed before it is
-    decoded.  More doublings than m <= n - 1 allows raise ``RuntimeError``.
+    Powers settle against A*: A^k >= A* entrywise, and A^k == A* exactly
+    when their codes are equal, so A^k is the fixpoint exactly when no row
+    of it differs from ``star``.  Few-level codes, whose top code is at most
+    ``_FEW_LEVELS``, first go to :func:`_reach_search` when some row of A
+    differs from A*'s (m > 1); it returns m, or hands over to the doublings.
+    Each doubling A^k -> A^(2k) of many-level codes is a squaring or, when
+    :func:`_steps_are_cheaper`, k steps q <- A·q, and a step that reaches
+    A* gives m at once; few-level codes always square.  The first step
+    packs A's live rows of entries below top once for every later step.
+    The doublings stop at the paper's rule, the first power whose square
+    equals it: that power is A*, so its squaring is over zero live rows and
+    costs nothing.  Then binary lifting over the powers below A* finds m:
+    2·ceil(log2 m) products (one when m = 1) when every doubling squares.
+    More doublings than m <= n - 1 allows raise ``RuntimeError``.
     """
     n, top = codes.shape[0], codes.max()
     few = top <= _FEW_LEVELS  # and so is every power's top code
@@ -567,12 +564,10 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) ->
     if few and live.size:  # m > 1
         m = _reach_search(codes, star, live.size)
         if m:
-            return star, m
-    # sqs[t] = A^(2^t); double until a squaring changes nothing, so that
-    # with T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  A^(2k) equals
-    # A^k only when A^k is A*, so that is the squaring of zero live rows.  A
-    # step that reaches A* gives m at once.  m <= n - 1, so that squaring
-    # comes by the (ceil(log2 n) + 1)-th pass, when A^(2^ceil(log2 n)) is A*
+            return m
+    # sqs[t] = A^(2^t); double until a power has no live row, so that with
+    # T = len(sqs) - 1 the power m lies in (2^(T-1), 2^T].  m <= n - 1, so
+    # that power comes by the (ceil(log2 n) + 1)-th pass, A^(2^ceil(log2 n))
     sqs = [codes]
     for _ in range((n - 1).bit_length() + 1):
         k, p = 1 << (len(sqs) - 1), sqs[-1]
@@ -581,25 +576,26 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) ->
                 entries, vals = _pack_below(codes, top, live)
             q, qlive, qdiffer, steps = _steps(entries, vals, p, star, live, k)
             if not qlive.size:  # A^(k + steps) is A*, and A^(k + steps - 1) is not
-                return q, k + steps
+                return k + steps
         else:
             q, qlive, qdiffer = _settle(p, p, star, live, differ, few)
-            if np.array_equal(q, p):
+            if not live.size:  # p is A*: its square is p
                 break
         sqs.append(q)
         last, (live, differ) = (live, differ), (qlive, qdiffer)
     else:
         raise RuntimeError(f"A^(2^{len(sqs) - 1}) is not A* although m <= n - 1 = {n - 1}: a product is wrong")
-    if len(sqs) == 1:
-        return codes, 1
+    del sqs[-1], p, q  # A* and its square: the lifting reads only the powers below
+    if not sqs:
+        return 1
     # binary lifting: grow k from 2^(T-1) to m - 1, the last power short of
     # A*, adding each lower power of two that keeps A^k != A*
-    k, p, (live, differ) = 1 << (len(sqs) - 2), sqs[-2], last
-    for t in range(len(sqs) - 3, -1, -1):
+    k, p, (live, differ) = 1 << (len(sqs) - 1), sqs[-1], last
+    for t in range(len(sqs) - 2, -1, -1):
         q, qlive, qdiffer = _settle(p, sqs[t], star, live, differ, few)
         if qlive.size:
             k, p, live, differ = k + (1 << t), q, qlive, qdiffer
-    return sqs[-1], k + 1
+    return k + 1
 
 
 def _reach_search(codes: np.ndarray, star: np.ndarray, rows: int) -> int:
@@ -744,49 +740,16 @@ def _steps(
 
 
 def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
-    """Find the least m with A^m = A^(m+1) and the fixpoint matrix A^m.
+    """Find the least m with A^m = A^(m+1), and the fixpoint A* = A^m.
 
-    ``linear`` multiplies floats by A until nothing changes.  ``doubling``
-    doubles the power until a squaring changes nothing, then finds m by
-    binary lifting: 2*ceil(log2 m) products (one when m = 1) when every
-    doubling is a squaring.  It multiplies level codes: entry v becomes
-    the number of distinct values of A* (0, the spanning forest's edge
-    weights, and inf between trees) below v, as uint8 for fewer than 256
-    values and uint16 up to 65535.  That map is non-decreasing, so it
-    commutes with min and max; and A^k >= A* entrywise, so A^k == A*
-    exactly when their codes are equal.  The code chain thus has the same
-    m, and its fixpoint decodes to A*.  Both strategies return identical
-    results.
-
-    Where the top code is at most ``_FEW_LEVELS`` and m > 1, m is first
-    sought level by level, without products (:func:`_reach_search`): at
-    level c, A^t <= c holds exactly where a walk of at most t edges, each
-    <= c, joins i and j, so t steps of a breadth-first search from every
-    point at once, on rows packed 64 points to a word, give (A^(t+1) <= c).
-    Each level runs until its rows equal (A* <= c); m is one more than the
-    most steps a level needs, and A^m = A* exactly, since codes that agree
-    at every level are equal.  The search hands over to the doublings when
-    its word-ops, at ``_BIT_COST`` 0/1 MACs each, outgrow the 0/1 squarings
-    that would reach the same power.
-
-    Where the top code exceeds ``_FEW_LEVELS``, a doubling A^k -> A^(2k)
-    is k products q <- A·q instead when those cost less than the squaring
-    (:func:`_steps_are_cheaper`), and a step that reaches A* ends the
-    search with m.  At the first step A's live rows of entries below the top
-    code are packed once, and every step multiplies its live rows through
-    that packing by the row-sparse block kernel of :func:`minmax_product`.
-
-    Each ``doubling`` product computes only what can still change: the
-    sweep's dendrogram fills A*'s codes once, and since A* <= A^(k+j) <= A^k
-    entrywise, an entry of A^k equal to A*'s stays equal in every later
-    power, so :func:`_settle` computes only the rows and entries where the
-    left power still differs from A*.  The stop rule stays the paper's:
-    square until the square equals the power squared, which is the
-    squaring over zero live rows and costs nothing.  The result decodes the
-    last power of the chain, or the fill where the bit-parallel search has
-    shown it equal to A^m; both strategies return the sweep
-    of the validated matrix, which skips the checks of
-    :meth:`Dendrogram.from_matrix` that validation already made.
+    ``linear`` is the paper's chain: it multiplies floats by A until a
+    product changes nothing.  ``doubling`` finds m on level codes of A by
+    :func:`_doubling_search`: entry v becomes the number of A*'s distinct
+    values below v, as uint8 for fewer than 256 values and uint16 up to
+    65535.  Products create no values, so there are no tolerances, and both
+    strategies return identical :class:`StabilizationResult` fields but
+    ``power_trace``: ``linear`` returns its chain's last power as ``star``,
+    ``doubling`` the fill of ``dendrogram``, which its powers settle against.
     """
     a = validate_dissimilarity(a)
     if strategy not in ("linear", "doubling"):
@@ -795,5 +758,10 @@ def stabilize(a, strategy: str = "doubling") -> StabilizationResult:
     if strategy == "linear":
         star, m, trace = _stabilize_linear(a)
     else:
-        (star, m), trace = _stabilize_doubling(a, d), None
+        levels = d.levels()
+        codes, widths = _search_codes(a, levels)
+        star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
+        m = _doubling_search(codes, star, widths)
+        del codes  # freed before A*'s float64 values are decoded
+        star, trace = levels[star], None
     return StabilizationResult(star, m, a.shape[0] / m, trace, d)

@@ -2,9 +2,10 @@
 
 The subdominant ultrametric is the single-linkage cophenetic distance, so
 :func:`minimax_oracle` fills it from the checked O(n^2) spanning-forest sweep
-:meth:`Dendrogram.from_matrix`, and :func:`subdominant` is that fill on a
-validated dissimilarity.  Only m needs the semiring's power chain, whose
-fixpoint the tests check against the sweep.
+:meth:`Dendrogram.from_matrix`, and :func:`subdominant` fills the sweep of a
+validated dissimilarity without repeating those checks.  Only m needs the
+semiring's powers; the linear chain's fixpoint is the tests' independent
+check of the sweep.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def minimax_oracle(weights) -> np.ndarray:
 
 def subdominant(a) -> np.ndarray:
     """Largest ultrametric dominated by ``a`` (the stabilization fixpoint A*)."""
-    return minimax_oracle(validate_dissimilarity(a))
+    return Dendrogram._sweep(validate_dissimilarity(a)).fill()
 
 
 def sup_ultrametrics(mats) -> np.ndarray:

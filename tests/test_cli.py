@@ -474,6 +474,24 @@ class TestValidationCounts:
         assert len(seen) == calls
 
 
+class TestOneCheckPerMatrix:
+    """A validated matrix is swept without ``Dendrogram.from_matrix``'s checks, which raw weights keep."""
+
+    @pytest.mark.parametrize("run", [
+        lambda a, path: subdominant(a).tobytes() == a.tobytes(),  # example 1 is ultrametric
+        lambda a, path: spheric_clustering(a, 6.0).assignment.tolist() == [0, 0, 0, 1, 1, 2, 2, 2],
+        lambda a, path: main(["cluster", "--input", path, "--radius", "auto"]) == EXIT_OK,
+        lambda a, path: main(["histogram", "--input", path, "--stage", "stabilized"]) == EXIT_OK,
+    ], ids=["subdominant", "spheric_clustering", "cluster", "histogram-stabilized"])
+    def test_reader_of_a_valid_matrix_sweeps_it_once(self, run, ex1_csv, monkeypatch):
+        def refused(w):
+            pytest.fail("the weight checks ran again on a valid matrix")
+
+        a = data.load_matrix_csv(ex1_csv)
+        monkeypatch.setattr(Dendrogram, "from_matrix", refused)
+        assert run(a, ex1_csv)
+
+
 COMPRESSED = {".gz": ("a gzip", b"\x1f\x8b"), ".bz2": ("a bzip2", b"BZh"),
               ".xz": ("an xz", b"\xfd7zXZ\x00"), ".lzma": ("an lzma", b"\xfd7zXZ\x00")}
 DECOMPRESS = {".gz": gzip.decompress, ".bz2": bz2.decompress, ".xz": lzma.decompress, ".lzma": lzma.decompress}

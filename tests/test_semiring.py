@@ -453,6 +453,16 @@ class TestStabilize:
         with pytest.raises(RuntimeError, match=r"level 1 .* m <= n - 1 = 99"):
             stabilize(path_dissim(100))
 
+    def test_search_holds_no_power_past_a_star(self):
+        # uniform n=600 (dense-random's matrix): the search drops A*'s power and
+        # its square before the lifting, and A's codes go before A* is decoded;
+        # the peak read 2.97 n^2 float64 while they lived
+        a = random_dissim(np.random.default_rng(0), 600)
+        stabilize(a)  # once first, so one-time allocations are not counted
+        res, peak = peak_bytes(stabilize, a)
+        assert res.m == 45
+        assert peak < 2.85 * a.nbytes
+
     def test_many_level_uniform_input_steps(self, rng, monkeypatch):
         # uniform n=300: A holds about 9 entries a row below top, A^2 about 60,
         # so k steps by A cost less than the squaring of A^k for k = 2 and 4

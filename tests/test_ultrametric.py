@@ -113,7 +113,7 @@ class TestMinimaxOracle:
         assert np.array_equal(minimax_oracle(w), [[0, -1, 2], [-1, 0, 2], [2, 2, 0]])
 
     def test_asymmetric_rejected(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^weight matrix must be symmetric$"):
             minimax_oracle(np.array([[0, 1], [2, 0]], float))
 
     def test_nan_rejected_before_symmetry(self):
