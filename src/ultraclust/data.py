@@ -289,9 +289,6 @@ def _read_rows(path, what: str, unit: str, comments: bool = False) -> np.ndarray
 def load_matrix_csv(path) -> np.ndarray:
     """Load and validate a dissimilarity matrix from CSV."""
     a = _read_rows(path, "matrix", "entries")
-    if np.any(a < 0):
-        i, j = np.argwhere(a < 0)[0]
-        raise ValidationError(f"{path}: negative entry at row {i}, column {j}")
     try:
         return validate_dissimilarity(a)
     except ValidationError as exc:

@@ -256,15 +256,14 @@ def _row_blocks(entries: _RowEntries, rows: np.ndarray, row_bytes):
     ``_BLOCK_BYTES`` at ``row_bytes(w)`` bytes each, at least one, and the
     walk stops at the first row of width 0.  ``at[i]`` holds the places in
     ``entries.cols`` of row rows[s + i]'s entries, padded to w by repeating
-    its first entry, which changes no min and no OR.
+    its last entry, which changes no min and no OR.
     """
     width, first = entries.width[rows], entries.start[rows]
     end, s = np.count_nonzero(width), 0
     while s < end:
         w = int(width[s])
         e = min(end, s + max(1, _BLOCK_BYTES // row_bytes(w)))
-        place = np.arange(w)
-        at = place * (place < width[s:e, None])  # a padded place repeats place 0
+        at = np.minimum(np.arange(w), width[s:e, None] - 1)  # a padded place repeats the last
         at += first[s:e, None]
         yield s, e, at
         s = e
@@ -433,85 +432,83 @@ def _stabilize_linear(a: np.ndarray) -> tuple[np.ndarray, int, list[int]]:
 
 
 def _settle(
-    p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, differ: np.ndarray, few: bool
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, entries: int, few: bool
+) -> tuple[np.ndarray, np.ndarray, int]:
     """p·b for powers p = A^k and b = A^l, computed only where p differs from A*.
 
-    ``live`` holds the rows of p that differ from ``star``, A*'s codes, and
-    ``differ`` the (live, live) mask of those entries.  Every other entry of
-    p already equals A*'s, and so does the product's, since
-    A* <= A^(k+l) <= A^k entrywise.  Powers of a symmetric matrix are
+    ``live`` holds the rows of p that differ from ``star``, A*'s codes, in
+    any order, and ``entries`` the number of those entries in one triangle.
+    Every other entry of p already equals A*'s, and so does the product's,
+    since A* <= A^(k+l) <= A^k entrywise.  Powers of a symmetric matrix are
     symmetric, so a row outside ``live`` is also a column outside it, and
     the product is computed on the (live, live) block alone: as one
     ``minmax_product(p[live], b[:, live])`` of R^2·n element-ops for R live
     rows (R^2·n/2 for a squaring, which it mirrors), or entry by entry by
-    :func:`_entry_product`, one triangle of ``differ`` at n element-ops an
-    entry.  The entries are taken when ``_SPARSE_COST`` times their cost is
-    below the block's, and never for ``few``-level codes, whose 0/1 BLAS
-    products are cheaper.  Returns the product with its own live rows and
-    mask, both read off the one comparison of the computed entries with
-    ``star``.
+    :func:`_entry_product`, at n element-ops an entry.  The entries are
+    taken when ``_SPARSE_COST`` times their cost is below the block's, and
+    never for ``few``-level codes, whose 0/1 BLAS products are cheaper.
+    Returns the product with its own live rows and count, both read off the
+    one comparison of the computed entries with ``star``.
     """
     n, r = p.shape[0], live.size
-    entries = np.count_nonzero(differ) // 2  # one triangle: the diagonal never differs
     # n element-ops an entry against R^2·n for the block, half that for a squaring
-    if few or _SPARSE_COST * entries * (1 + (b is p)) >= r * r:
-        if r == n:  # nothing settled yet: skip the gathers
-            q = minmax_product(p, b)
-            differ = q != star
-        else:
-            rows = p[live]
-            sub = minmax_product(rows, b[:, live])
-            differ = sub != star[live][:, live]
-            # two one-axis gathers and scatters: np.ix_ pairs index every element
-            rows[:, live] = sub
-            q = p.copy()
-            q[live] = rows
-    else:
+    if not few and _SPARSE_COST * entries * (1 + (b is p)) < r * r:
         q = p.copy()
-        ranks = np.arange(r)
-        differ = _entry_product(p, b, star, live, differ & (ranks > ranks[:, None]), q)
-    return (q, *_drop_settled(live, differ))
-
-
-def _drop_settled(live: np.ndarray, differ: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``live`` and its (live, live) mask ``differ`` without the rows where ``differ`` is all False."""
-    keep = differ.any(axis=1)
-    if keep.all():
-        return live, differ
-    return live[keep], differ[keep][:, keep]
+        return (q, *_entry_product(p, b, star, live, q))
+    if r == n:  # nothing settled yet: skip the gathers
+        q = minmax_product(p, b)
+        differ = q != star
+        # differ is in row order, and live, as _steps leaves it, may not be
+        return q, np.flatnonzero(differ.any(axis=1)), np.count_nonzero(differ) // 2
+    rows = p[live]
+    sub = minmax_product(rows, b[:, live])
+    differ = sub != star[live][:, live]
+    # two one-axis gathers and scatters: np.ix_ pairs index every element
+    rows[:, live] = sub
+    keep, entries = differ.any(axis=1), np.count_nonzero(differ) // 2  # one triangle: the diagonal never differs
+    del sub, differ  # freed before p's copy
+    q = p.copy()
+    q[live] = rows
+    return q, live[keep], entries
 
 
 def _entry_product(
-    p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, upper: np.ndarray, out: np.ndarray
-) -> np.ndarray:
-    """The entries (live[i], live[j]) of p·b where ``upper[i, j]``, written to ``out`` and mirrored.
+    p: np.ndarray, b: np.ndarray, star: np.ndarray, live: np.ndarray, out: np.ndarray
+) -> tuple[np.ndarray, int]:
+    """The entries of p·b among the ``live`` rows where p differs from ``star``, written to ``out`` and mirrored.
 
     p and b are powers of one symmetric matrix, so p·b is symmetric and
     column j of b is its row j: entry (i, j) is the min over k of
     max(p[i, k], b[j, k]), one row of p against one row of b.  The entries
-    of ``upper`` are packed by row, and a :func:`_row_blocks` block's
-    (rows, n) copy of p's rows and (rows, w, n) gather of b's rows take
-    about ``_BLOCK_BYTES``; its padding is computed but not scattered.
-    Returns the (live, live) mask of the computed entries that still differ
-    from ``star``.
+    of the upper (live, live) triangle, in the order of ``live``, where p
+    differs from A*'s codes ``star`` are packed by row, from one block of
+    rows of their mask at a time.  A :func:`_row_blocks` block's (rows, n)
+    copy of p's rows and (rows, w, n) gather of b's rows take about
+    ``_BLOCK_BYTES``; its padding is computed but not scattered.  Returns
+    the live rows with a computed entry that still differs from ``star``,
+    in the order of ``live``, and the number of those entries.
     """
-    differ = np.zeros(upper.shape, dtype=bool)
-    entries = _pack_rows(upper.__getitem__, np.arange(upper.shape[0]), upper.shape[1])
-    rows = np.argsort(-entries.width, kind="stable")
-    for s, e, at in _row_blocks(entries, rows, lambda w: (1 + w) * p[0].nbytes):
-        cols = entries.cols[at]
+    ranks = np.arange(live.size)
+    targets = _pack_rows(
+        lambda blk: (p[live[blk]] != star[live[blk]])[:, live] & (ranks > blk[:, None]), ranks, live.size
+    )
+    still, entries = np.zeros(live.size, dtype=bool), 0
+    rows = np.argsort(-targets.width, kind="stable")
+    for s, e, at in _row_blocks(targets, rows, lambda w: (1 + w) * p[0].nbytes):
+        cols = targets.cols[at]
         terms = b[live[cols]]  # (rows, w, n): row live[cols[i, t]] of b
         np.maximum(p[live[rows[s:e]]][:, None, :], terms, out=terms)
         v = terms.min(axis=2)
         del terms  # freed before the next block's gather
-        width = entries.width[rows[s:e]]
+        width = targets.width[rows[s:e]]
         real = np.arange(at.shape[1]) < width[:, None]  # not the padding
         r, c, v = np.repeat(rows[s:e], width), cols[real], v[real]
         i, j = live[r], live[c]
         out[i, j] = out[j, i] = v
-        differ[r, c] = differ[c, r] = v != star[i, j]
-    return differ
+        differ = v != star[i, j]
+        still[r[differ]] = still[c[differ]] = True
+        entries += int(np.count_nonzero(differ))
+    return live[still], entries
 
 
 def _search_codes(a: np.ndarray, levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -558,9 +555,12 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) ->
     """
     n, top = codes.shape[0], codes.max()
     few = top <= _FEW_LEVELS  # and so is every power's top code
-    entries = None  # A's live rows packed for the steps, once a doubling steps
-    # live: the rows of a power that differ from A*; differ: those entries
-    live, differ = _drop_settled(np.arange(n), codes != star)
+    packed = None  # A's live rows packed for the steps, once a doubling steps
+    # live: the rows of a power that differ from A*; entries: how many of its
+    # entries do, in one triangle
+    differ = codes != star
+    live, entries = np.flatnonzero(differ.any(axis=1)), np.count_nonzero(differ) // 2
+    del differ  # the one n^2 mask of the search
     if few and live.size:  # m > 1
         m = _reach_search(codes, star, live.size)
         if m:
@@ -571,18 +571,18 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) ->
     sqs = [codes]
     for _ in range((n - 1).bit_length() + 1):
         k, p = 1 << (len(sqs) - 1), sqs[-1]
-        if not few and _steps_are_cheaper(p, top, widths, live, differ, k):
-            if entries is None:  # a settled row never turns live again
-                entries, vals = _pack_below(codes, top, live)
-            q, qlive, qdiffer, steps = _steps(entries, vals, p, star, live, k)
+        if not few and _steps_are_cheaper(p, top, widths, live, entries, k):
+            if packed is None:  # a settled row never turns live again
+                packed, vals = _pack_below(codes, top, live)
+            q, qlive, qentries, steps = _steps(packed, vals, p, star, live, k)
             if not qlive.size:  # A^(k + steps) is A*, and A^(k + steps - 1) is not
                 return k + steps
         else:
-            q, qlive, qdiffer = _settle(p, p, star, live, differ, few)
+            q, qlive, qentries = _settle(p, p, star, live, entries, few)
             if not live.size:  # p is A*: its square is p
                 break
         sqs.append(q)
-        last, (live, differ) = (live, differ), (qlive, qdiffer)
+        last, (live, entries) = (live, entries), (qlive, qentries)
     else:
         raise RuntimeError(f"A^(2^{len(sqs) - 1}) is not A* although m <= n - 1 = {n - 1}: a product is wrong")
     del sqs[-1], p, q  # A* and its square: the lifting reads only the powers below
@@ -590,11 +590,11 @@ def _doubling_search(codes: np.ndarray, star: np.ndarray, widths: np.ndarray) ->
         return 1
     # binary lifting: grow k from 2^(T-1) to m - 1, the last power short of
     # A*, adding each lower power of two that keeps A^k != A*
-    k, p, (live, differ) = 1 << (len(sqs) - 1), sqs[-1], last
+    k, p, (live, entries) = 1 << (len(sqs) - 1), sqs[-1], last
     for t in range(len(sqs) - 2, -1, -1):
-        q, qlive, qdiffer = _settle(p, sqs[t], star, live, differ, few)
+        q, qlive, qentries = _settle(p, sqs[t], star, live, entries, few)
         if qlive.size:
-            k, p, live, differ = k + (1 << t), q, qlive, qdiffer
+            k, p, live, entries = k + (1 << t), q, qlive, qentries
     return k + 1
 
 
@@ -681,31 +681,29 @@ def _or_rows(reach: np.ndarray, entries: _RowEntries, rows: np.ndarray) -> np.nd
     return out
 
 
-def _steps_are_cheaper(
-    p: np.ndarray, top, widths: np.ndarray, live: np.ndarray, differ: np.ndarray, k: int
-) -> bool:
+def _steps_are_cheaper(p: np.ndarray, top, widths: np.ndarray, live: np.ndarray, entries: int, k: int) -> bool:
     """Whether k steps q <- A·q reach A^(2k) from p = A^k for less than p's squaring.
 
     A step's row-sparse kernel over the R ``live`` rows of A costs
     ``_SPARSE_COST``·sum(w_i)·n element-ops for the ``widths`` w_i of A's
     rows, and its own passes ``_STEP_PASSES``·R·n.  The squaring costs the
-    cheapest kernel :func:`_settle` and :func:`minmax_product` pick from: the mirrored block
-    R^2·n/2, the entries of ``differ`` at ``_SPARSE_COST``·n each, or the
-    row-sparse kernel at ``_SPARSE_COST``·R for each entry of p's live rows
-    below ``top``, A's top code, which is counted only when the first two
-    do not already win.
+    cheapest kernel :func:`_settle` and :func:`minmax_product` pick from:
+    the mirrored block R^2·n/2, the ``entries`` of p that differ from A*'s,
+    in one triangle, at ``_SPARSE_COST``·n each, or the row-sparse kernel at
+    ``_SPARSE_COST``·R for each entry of p's live rows below ``top``, A's
+    top code, which is counted only when the first two do not already win.
     """
     n, r = p.shape[0], live.size
     if not r:  # the squaring of zero live rows is the stop rule
         return False
     steps = k * (_SPARSE_COST * int(widths[live].sum()) * n + _STEP_PASSES * r * n)
-    square = min(r * r * n / 2, _SPARSE_COST * (np.count_nonzero(differ) // 2) * n)
+    square = min(r * r * n / 2, _SPARSE_COST * entries * n)
     return steps < square and steps < _SPARSE_COST * np.count_nonzero(p[live] != top) * r
 
 
 def _steps(
     entries: _RowEntries, vals: np.ndarray, p: np.ndarray, star: np.ndarray, live: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+) -> tuple[np.ndarray, np.ndarray, int, int]:
     """A^(2k) from p = A^k by k steps q <- A·q over the live rows, or A* in fewer.
 
     Powers of one symmetric matrix commute, so A·A^j = A^j·A = A^(j+1), and
@@ -715,8 +713,9 @@ def _steps(
     rows, so q needs no column gather, and A* <= A^(j+1) <= A^j entrywise,
     so a row equal to A*'s stays equal: each step computes only the rows
     that the last one left different from ``star``, and writes them into q
-    in place.  Returns q, its live rows, their (live, live) mask and the
-    number of steps made, fewer than k when a step leaves no live row.
+    in place.  Returns q, its live rows (widest first), the number of its
+    entries that differ from ``star`` in one triangle, and the number of
+    steps made, fewer than k when a step leaves no live row.
     """
     q = p.copy()  # p = A^k stays for the binary lifting
     # widest first, the order of the kernel's blocks, which dropping rows keeps
@@ -730,12 +729,11 @@ def _steps(
         np.take(star, live, axis=0, out=srows[:r], mode="clip")  # only mode="raise" buffers out
         differ = rows[:r] != srows[:r]  # the one comparison with A*'s rows
         q[live] = rows[:r]
-        keep = np.flatnonzero(differ.any(axis=1))
-        live = live[keep]
+        live = live[differ.any(axis=1)]
         if not live.size or step == k:
-            up = np.argsort(live)  # back to increasing rows
-            live = live[up]
-            return q, live, differ[keep[up]][:, live], step
+            # rows outside live equal A*'s and q is symmetric, so every
+            # differing entry lies in these rows and in their columns
+            return q, live, np.count_nonzero(differ) // 2, step
         del differ  # freed before the next product
 
 

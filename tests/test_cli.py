@@ -71,6 +71,12 @@ class TestAnalyze:
         path.write_text("0,1\n2,0\n")
         assert main(["analyze", "--input", str(path)]) == EXIT_VALIDATION
 
+    def test_negative_entry_names_the_file_and_the_entry(self, tmp_path, capsys):
+        path = tmp_path / "neg.csv"
+        path.write_text("0,1,3\n1,0,-2\n3,-2,0\n")
+        assert main(["analyze", "--input", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"error: {path}: off-diagonal entry at (1, 2) must be positive, got -2.0\n"
+
     def test_histograms_its_input_once_and_reads_a_star_from_the_forest(self, tmp_path, monkeypatch, capsys,
                                                                           rng):
         a = random_dissim(rng, 20)
@@ -408,6 +414,10 @@ class TestGenerate:
 
     def test_bad_grid_flag(self):
         assert main(["generate", "--grid", "2by2", "--cluster", "3x3"]) == EXIT_VALIDATION
+
+    def test_non_integer_grid_flag(self, capsys):
+        assert main(["generate", "--grid", "2xa", "--cluster", "3x3"]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: --grid expects integers, got '2xa'\n"
 
     @pytest.mark.parametrize("flags", [
         ["--spacing", "nan"],

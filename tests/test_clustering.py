@@ -237,6 +237,14 @@ class TestDistanceHistogram:
         with pytest.raises(ValidationError, match=r"^bins must be an integer, got "):
             distance_histogram(EX1, mode="binned", bins=bins)
 
+    def test_nonpositive_bins_rejected(self):
+        with pytest.raises(ValidationError, match=r"^bins must be positive, got 0$"):
+            distance_histogram(EX1, mode="binned", bins=0)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValidationError, match=r"^unknown histogram mode 'log'$"):
+            distance_histogram(EX1, mode="log")
+
     def test_numpy_integer_bins(self):
         assert distance_histogram(EX1, mode="binned", bins=np.int64(3)).counts.size == 3
 
@@ -261,6 +269,10 @@ class TestEstimateNumClusters:
     def test_numpy_integer_count(self):
         assert estimate_num_clusters(np.int64(3)) == 3
 
+    def test_negative_count_rejected(self):
+        with pytest.raises(ValidationError, match=r"^peak count must be nonnegative, got -1$"):
+            estimate_num_clusters(-1)
+
     def test_matches_brute_force(self):
         for p in range(1, 10001):
             k = estimate_num_clusters(p)
@@ -279,6 +291,10 @@ class TestRadiiFromValleys:
     def test_non_integer_count_rejected(self, k):
         with pytest.raises(ValidationError, match=r"^k must be an integer, got "):
             radii_from_valleys(distance_histogram(EX1), k)
+
+    def test_nonpositive_count_rejected(self):
+        with pytest.raises(ValidationError, match=r"^k must be positive, got 0$"):
+            radii_from_valleys(distance_histogram(EX1), 0)
 
     def test_numpy_integer_count(self):
         assert radii_from_valleys(distance_histogram(EX1), np.int64(2)) == ([13.0, 8.0], False)

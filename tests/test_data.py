@@ -89,6 +89,10 @@ class TestLattice:
         with pytest.raises(ValidationError, match=f"^{field} must be a real number, got {value!r}$"):
             LatticeConfig(1, 1, 2, 1, **{field: value})
 
+    def test_negative_gap_rejected(self):
+        with pytest.raises(ValidationError, match=r"^gap must be nonnegative$"):
+            LatticeConfig(1, 1, 2, 1, gap=-1.0)
+
     def test_numpy_integer_counts(self):
         assert lattice_generate(LatticeConfig(np.int64(2), 1, np.uint8(1), 1)).shape == (2, 2)
 
@@ -143,6 +147,16 @@ class TestPairwiseMatrix:
         with pytest.raises(ValidationError, match=r"^points 1 and 2 are at distance 0: .*duplicate"):
             pairwise_matrix(pts, "euclidean")
         assert pairwise_matrix(pts, "manhattan")[1, 2] == 1e-200
+
+    @pytest.mark.parametrize("pts", [np.arange(3.0), np.zeros((0, 2))], ids=["1-D", "empty"])
+    def test_non_point_arrays_rejected(self, pts):
+        shape = re.escape(str(pts.shape))
+        with pytest.raises(ValidationError, match=rf"^expected an \(n, dim\) point array, got {shape}$"):
+            pairwise_matrix(pts)
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValidationError, match=r"^unknown metric 'cosine'$"):
+            pairwise_matrix(np.array([[0.0, 1.0], [2.0, 3.0]]), "cosine")
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coordinates_rejected(self, bad):
@@ -270,7 +284,8 @@ class TestCsvRoundTrip:
         [
             ("0,1\n2,0\n", "asymmetric"),
             ("1,2\n2,0\n", "diagonal"),
-            ("0,-1\n-1,0\n", "negative"),
+            # a negative entry is a non-positive off-diagonal one (or a nonzero diagonal one)
+            pytest.param("0,-1\n-1,0\n", r"\(0, 1\) must be positive, got -1\.0", id="0,-1\n-1,0\n-negative"),
             ("0,nan\nnan,0\n", r"\(0, 1\) must be positive, got nan"),
             ("0,nan\n1,0\n", r"asymmetric entries at \(0, 1\): nan vs 1.0"),
             ("0,1\n1,0,3\n", "row 1"),

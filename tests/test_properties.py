@@ -269,7 +269,7 @@ def test_steps_match_linear(a, steps):
 def test_steps_at_some_doublings_match_linear(a, stepped):
     # the doublings A^k -> A^(2k), k = 2^t for t in ``stepped``, go by steps and
     # the others by squarings, so lifting starts from powers of either kind
-    def chosen(p, top, widths, live, differ, k):
+    def chosen(p, top, widths, live, entries, k):
         return live.size > 0 and k.bit_length() - 1 in stepped
 
     with mock.patch.object(semiring, "_steps_are_cheaper", chosen):
@@ -594,7 +594,7 @@ def test_packed_blocks_hold_each_entry_once(operands, bytes_per_entry, budget):
         for row, places in zip(order[s:e], at):
             width = entries.width[row]
             assert width > 0  # no block holds an empty row
-            assert np.all(places[width:] == places[0])  # padding repeats the first entry
+            assert np.all(places[width:] == places[width - 1])  # padding repeats the last entry
             np.add.at(seen, (row, entries.cols[places[:width]]), 1)
         end = e
     assert end == np.count_nonzero(entries.width)

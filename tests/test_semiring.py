@@ -25,7 +25,7 @@ from ultraclust import (
     validate_dissimilarity,
 )
 from ultraclust import errors, semiring
-from conftest import path_dissim, peak_bytes, random_dissim
+from conftest import path_dissim, peak_bytes, random_dissim, tree_dissim
 
 A3 = np.array([[0, 1, 3], [1, 0, 2], [3, 2, 0]], dtype=float)
 A3_SQ = np.array([[0, 1, 2], [1, 0, 2], [2, 2, 0]], dtype=float)
@@ -112,32 +112,42 @@ class TestProduct:
         assert taken == [1, 1]
 
     def test_entry_products_stay_in_bounded_memory(self, rng):
-        # about 22,000 entries among 1,500 live rows of n=2000 codes: beside
-        # the (live, live) mask it returns, the entry kernel holds one block's
-        # (rows, w, n) gather of about 1 MiB at a time
+        # about 22,000 entries among 1,500 live rows of n=2000 codes, where
+        # A*'s codes are lowered to 0: the entry kernel holds one block of
+        # rows of its target mask, then one block's (rows, w, n) gather of
+        # about 1 MiB at a time, and no (live, live) array
         n, r = 2000, 1500
         p = np.triu(rng.integers(1, 1000, (n, n)), 1).astype(np.uint16)
         p += p.T
         live = np.sort(rng.choice(n, r, replace=False))
+
+        def lowered(upper):
+            star = p.copy()
+            i, j = live[np.argwhere(upper)].T
+            star[i, j] = star[j, i] = 0
+            return star
+
         upper = np.triu(rng.random((r, r)) < 0.02, 1)
         out = p.copy()
-        differ, peak = peak_bytes(semiring._entry_product, p, p, np.zeros_like(p), live, upper, out)
-        assert peak < differ.nbytes + 2 * 2**20
-        assert np.array_equal(differ, upper | upper.T)  # no entry of p·p off the diagonal is 0
+        (still, entries), peak = peak_bytes(semiring._entry_product, p, p, lowered(upper), live, out)
+        assert peak < 2 * 2**20
+        # no entry of p·p off the diagonal is 0, so every computed entry still differs
+        assert entries == np.count_nonzero(upper)
+        assert np.array_equal(still, live[(upper | upper.T).any(axis=1)])
         i, j = live[np.argwhere(upper)[::50]].T
         want = np.maximum(p[i], p[j]).min(axis=1)
         assert np.array_equal(out[i, j], want) and np.array_equal(out[j, i], want)
         computed = np.zeros((n, n), bool)
-        computed[np.ix_(live, live)] = differ
+        computed[np.ix_(live, live)] = upper | upper.T
         assert np.array_equal(out[~computed], p[~computed])
         # three entries a row: a block's (rows, n) copy of p's rows weighs
         # as much as a third of its (rows, 3, n) gather, and counts in its budget
         narrow = np.zeros((r, r), bool)
         for offset in (1, 17, 301):
             narrow[np.arange(r - offset), np.arange(offset, r)] = True
-        differ, peak = peak_bytes(semiring._entry_product, p, p, np.zeros_like(p), live, narrow, p.copy())
-        assert np.array_equal(differ, narrow | narrow.T)
-        assert peak < differ.nbytes + 1.25 * semiring._BLOCK_BYTES
+        (still, entries), peak = peak_bytes(semiring._entry_product, p, p, lowered(narrow), live, p.copy())
+        assert entries == np.count_nonzero(narrow) and np.array_equal(still, live)
+        assert peak < 1.25 * semiring._BLOCK_BYTES
 
     def test_steps_stay_in_bounded_memory(self, rng):
         # two steps q <- A·q over 1,500 live rows of n=2000 codes with about 5
@@ -157,10 +167,12 @@ class TestProduct:
         wide[live[r // 2], live[r // 2]] = 0
         for a in (c, wide):
             entries, vals = semiring._pack_below(a, a.dtype.type(top), live)
-            (q, qlive, differ, steps), peak = peak_bytes(semiring._steps, entries, vals, a, np.zeros_like(a), live, 2)
+            (q, qlive, count, steps), peak = peak_bytes(semiring._steps, entries, vals, a, np.zeros_like(a), live, 2)
             rows = r * n * a.itemsize
             assert peak < q.nbytes + 3 * rows + r * n + semiring._BLOCK_BYTES
-            assert steps == 2 and np.array_equal(qlive, live) and differ.shape == (r, r)
+            assert steps == 2 and np.array_equal(np.sort(qlive), live)
+            # no entry off the diagonal is A*'s 0: each live row differs in n - 1
+            assert count == r * (n - 1) // 2
             # rows outside live are taken as settled, and stay
             once = a.copy()
             once[live] = minmax_product(a[live], a)
@@ -178,6 +190,10 @@ class TestProduct:
             minmax_product(np.ones((1000, 1)), np.ones((1, 1000)))
         assert minmax_product(np.ones((1000, 1), np.uint8), np.ones((1, 1000), np.uint8)).shape == (1000, 1000)
         assert identity(2).shape == (2, 2)
+
+    def test_one_dimensional_operand_rejected(self):
+        with pytest.raises(ValidationError, match=r"^operands must be 2-dimensional$"):
+            minmax_product(np.zeros(3), np.zeros((3, 3)))
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValidationError):
@@ -274,6 +290,10 @@ class TestPower:
     def test_zeroth_power_is_identity(self):
         assert np.array_equal(power(A3, 0), identity(3))
 
+    def test_non_square_rejected(self):
+        with pytest.raises(ValidationError, match=r"^power requires a square matrix, got \(2, 3\)$"):
+            power(np.zeros((2, 3)), 2)
+
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             power(A3, -1)
@@ -367,18 +387,65 @@ class TestStabilize:
         assert sum(x[0] * x[1] * y[1] for x, y in shapes) < calls * n**3
 
     def test_doubling_computes_only_the_entries_above_the_fixpoint(self, rng, monkeypatch):
-        # a many-level input (200 levels): late products compute single entries
-        entries = []
+        # a many-level input (200 levels): late products compute single
+        # entries, and every power's live rows and count of differing entries
+        # are those of its comparison with A*, whichever kernel made it
+        targets, seen = [], []
 
-        def recorded(p, b, star, live, upper, out, _orig=semiring._entry_product):
-            entries.append(np.count_nonzero(upper))
-            return _orig(p, b, star, live, upper, out)
+        def check(p, star, live, entries):
+            differ = p != star
+            assert np.array_equal(np.sort(live), np.flatnonzero(differ.any(axis=1)))
+            assert entries == np.count_nonzero(np.triu(differ, 1))
+            seen.append(entries)
 
-        monkeypatch.setattr(semiring, "_entry_product", recorded)
+        def entry_product(p, b, star, live, out, _orig=semiring._entry_product):
+            targets.append(np.count_nonzero(np.triu(p != star, 1)))
+            return _orig(p, b, star, live, out)
+
+        def settle(p, b, star, live, entries, few, _orig=semiring._settle):
+            check(p, star, live, entries)
+            q, qlive, qentries = _orig(p, b, star, live, entries, few)
+            check(q, star, qlive, qentries)
+            return q, qlive, qentries
+
+        def steps(packed, vals, p, star, live, k, _orig=semiring._steps):
+            q, qlive, qentries, made = _orig(packed, vals, p, star, live, k)
+            check(q, star, qlive, qentries)
+            return q, qlive, qentries, made
+
+        monkeypatch.setattr(semiring, "_entry_product", entry_product)
+        monkeypatch.setattr(semiring, "_settle", settle)
+        monkeypatch.setattr(semiring, "_steps", steps)
         a = random_dissim(rng, 200)
         dbl, lin = stabilize(a), stabilize(a, "linear")
-        assert entries and all(e > 0 for e in entries)
+        assert targets and all(e > 0 for e in targets)
+        assert seen and 0 in seen  # the stop rule's power is A*
         assert dbl.m == lin.m and dbl.star.tobytes() == lin.star.tobytes()
+
+    @pytest.mark.parametrize("kernel", ["block", "entries"])
+    def test_settle_takes_live_rows_in_any_order(self, rng, kernel, monkeypatch):
+        # steps leave their live rows widest first, not increasing: a product
+        # over them in any order, all rows or some, keeps every row in place
+        if kernel == "entries":
+            monkeypatch.setattr(semiring, "_SPARSE_COST", 0)
+        a = random_dissim(rng, 40)
+        d = Dendrogram.from_matrix(a)
+        levels = d.levels()
+        codes = semiring._search_codes(a, levels)[0]
+        star = Dendrogram(d.order, np.searchsorted(levels, d.h).astype(codes.dtype)).fill()
+        orders = set()
+        p = codes
+        while not np.array_equal(p, star):
+            differ = p != star
+            live = rng.permutation(np.flatnonzero(differ.any(axis=1)))
+            orders.add(live.size == a.shape[0])
+            want = brute_product(p, p)
+            q, qlive, entries = semiring._settle(p, p, star, live, np.count_nonzero(np.triu(differ, 1)), kernel == "block")
+            assert np.array_equal(q, want)
+            assert np.array_equal(np.sort(qlive), np.flatnonzero((want != star).any(axis=1)))
+            assert entries == np.count_nonzero(np.triu(want != star, 1))
+            p = q
+        assert orders == {True, False}  # all rows, then some
 
     def test_few_level_codes_never_step(self, monkeypatch):
         # whatever a step costs, few-level codes search by bits or square
@@ -456,12 +523,19 @@ class TestStabilize:
     def test_search_holds_no_power_past_a_star(self):
         # uniform n=600 (dense-random's matrix): the search drops A*'s power and
         # its square before the lifting, and A's codes go before A* is decoded;
-        # the peak read 2.97 n^2 float64 while they lived
-        a = random_dissim(np.random.default_rng(0), 600)
-        stabilize(a)  # once first, so one-time allocations are not counted
-        res, peak = peak_bytes(stabilize, a)
-        assert res.m == 45
-        assert peak < 2.85 * a.nbytes
+        # the peak read 2.97 n^2 float64 while they lived.  Gaussian points and
+        # a tree of distinct weights (n=600) read 2.85 and 2.65 n^2 while the
+        # search carried a (live, live) mask of its differing entries
+        gauss = pairwise_matrix(np.random.default_rng(4).normal(size=(600, 2)), metric="euclidean")
+        for a, m, bound in (
+            (random_dissim(np.random.default_rng(0), 600), 45, 2.85),
+            (gauss, 50, 2.7),
+            (tree_dissim(600, 0, False), 26, 2.55),
+        ):
+            stabilize(a)  # once first, so one-time allocations are not counted
+            res, peak = peak_bytes(stabilize, a)
+            assert res.m == m
+            assert peak < bound * a.nbytes
 
     def test_many_level_uniform_input_steps(self, rng, monkeypatch):
         # uniform n=300: A holds about 9 entries a row below top, A^2 about 60,
@@ -530,6 +604,16 @@ def test_symmetric_nan_pair_is_not_positive(f):
     a[1, 0] = 3.0
     with pytest.raises(ValidationError, match=r"^asymmetric entries at \(0, 1\): nan vs 3.0$"):
         f(a)
+
+
+@pytest.mark.parametrize("a,message", [
+    (np.zeros((2, 3)), r"^expected a square matrix, got shape \(2, 3\)$"),
+    (np.zeros(4), r"^expected a square matrix, got shape \(4,\)$"),
+    (np.zeros((0, 0)), r"^matrix order must be at least 1$"),
+])
+def test_validate_rejects_a_matrix_of_no_order(a, message):
+    with pytest.raises(ValidationError, match=message):
+        validate_dissimilarity(a)
 
 
 def test_validate_returns_float_array():
